@@ -242,11 +242,8 @@ def _cmd_markov(args) -> int:
         raise InvalidSpec("--report must name gap and/or edge-load")
     transition = build_transition(args.two_n, args.s)
     payload = {"two_n": args.two_n, "s": args.s, "dim": transition.dim}
-    if "gap" in parts:
-        lambda2 = transition.second_eigenvalue()
-        payload["lambda2"] = lambda2
-        payload["gap_true"] = 1.0 - lambda2
     if "edge-load" in parts:
+        # edge_load computes lambda2 itself; the gap part reuses it
         tree = build_canonical_tree(args.two_n // 2, args.s)
         load = edge_load(tree, transition)
         payload.update(
@@ -259,6 +256,10 @@ def _cmd_markov(args) -> int:
                 "certified": load.certified(),
             }
         )
+    else:
+        lambda2 = transition.second_eigenvalue()
+        payload["lambda2"] = lambda2
+        payload["gap_true"] = 1.0 - lambda2
     _emit_report(args, payload)
     return EXIT_OK
 

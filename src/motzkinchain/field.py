@@ -26,13 +26,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DomainError, InvalidSpec, SizeExceeded
-from .hamiltonian import (
-    ChainSpec,
-    build_interaction_part,
-    build_move_part,
-    field_diagonal,
-    local_move_classes,
-)
+from .hamiltonian import ChainSpec, build_hamiltonian, local_move_classes
 from .schmidt import sigma
 from .walks import EXACT_LIMIT, ballot_count, binomial, log_binomial
 
@@ -215,10 +209,9 @@ def sector_first_order_check(two_n: int, epsilon0: float = 1e-3) -> SectorCheck:
     """
     if not 0.0 < epsilon0 < 1.0:
         raise DomainError("epsilon0 must lie in (0, 1)")
-    spec = ChainSpec(two_n=two_n, s=1, boundary="open")
-    bulk = (build_move_part(spec).matrix + build_interaction_part(spec).matrix).tocsr()
+    spec = ChainSpec(two_n=two_n, s=1, boundary="open", field_epsilon0=epsilon0)
+    matrix = build_hamiltonian(spec).matrix
     eps = epsilon0 / two_n
-    diag = eps * field_diagonal(two_n, 1)
     classes = local_move_classes(two_n, 1)
     by_imbalance: dict[int, list[float]] = {}
     worst = 0.0
@@ -226,7 +219,7 @@ def sector_first_order_check(two_n: int, epsilon0: float = 1e-3) -> SectorCheck:
         if label is None:
             raise InvalidSpec("a one-color sector failed to reduce to rights-then-lefts")
         m = label[0] + label[1]
-        block = bulk[members][:, members].toarray() + np.diag(diag[members])
+        block = matrix[members][:, members].toarray()
         lowest = float(np.linalg.eigvalsh(block)[0])
         predicted = eps * field_expectation_exact(two_n, m, 1)
         worst = max(worst, abs(lowest - predicted))

@@ -107,10 +107,6 @@ class Walk:
     def __getitem__(self, i):
         return self.steps[i]
 
-    @classmethod
-    def from_text(cls, text: str) -> "Walk":
-        return decode_walk(text)
-
     def text(self) -> str:
         return encode_walk(self)
 
@@ -158,10 +154,6 @@ def heights(walk: Walk) -> tuple[int, ...]:
         h += step.rise
         out.append(h)
     return tuple(out)
-
-
-def end_height(walk: Walk) -> int:
-    return sum(step.rise for step in walk)
 
 
 def walk_area(walk: Walk) -> int:

@@ -170,6 +170,23 @@ def test_markov_gap_only(capsys):
     assert "lambda2" in payload and "rho" not in payload
 
 
+@pytest.mark.parametrize("report", ["gap", "edge-load", "gap,edge-load"])
+def test_markov_solves_for_lambda2_once(capsys, monkeypatch, report):
+    from motzkinchain.markov import TransitionMatrix
+
+    calls = []
+    original = TransitionMatrix.second_eigenvalue
+
+    def counted(self):
+        calls.append(self.dim)
+        return original(self)
+
+    monkeypatch.setattr(TransitionMatrix, "second_eigenvalue", counted)
+    assert main(["markov", "--two-n", "6", "--s", "1", "--report", report]) == EXIT_OK
+    assert "lambda2" in json.loads(capsys.readouterr().out)
+    assert calls == [9]
+
+
 def test_markov_rejects_unknown_report(capsys):
     assert main(["markov", "--two-n", "6", "--s", "1", "--report", "bogus"]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error:")

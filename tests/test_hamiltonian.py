@@ -19,6 +19,7 @@ from conftest import (
     heights_of_digits,
     scan_digits,
 )
+from motzkinchain import hamiltonian
 from motzkinchain.errors import InvalidSpec, SizeExceeded
 from motzkinchain.hamiltonian import (
     ChainSpec,
@@ -336,6 +337,78 @@ def test_gap_scan_schema_and_trend():
         gap_scan([4], 1)
 
 
+ORACLE_SPECS = [
+    *(
+        ChainSpec(two_n=two_n, s=1, boundary=boundary)
+        for two_n in (4, 6)
+        for boundary in ("motzkin", "open", "periodic")
+    ),
+    ChainSpec(two_n=4, s=1, boundary="open", field_epsilon0=0.3),
+    ChainSpec(two_n=6, s=1, boundary="open", field_epsilon0=1e-3),
+    ChainSpec(two_n=6, s=1, boundary="periodic", field_epsilon0=0.5),
+    ChainSpec(two_n=4, s=2, boundary="motzkin"),
+    ChainSpec(two_n=4, s=2, boundary="open"),
+    ChainSpec(two_n=4, s=2, boundary="periodic"),
+]
+
+
+@pytest.mark.parametrize("cutoff", [None, 40])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+def test_sector_spectrum_matches_full_dense_oracle(spec, cutoff, monkeypatch):
+    # cutoff 40 sends the 2n=6 s=1 sectors (up to 76 states) and the 49-state
+    # sector of the 2n=4 s=2 ring through Lanczos
+    if cutoff is not None:
+        monkeypatch.setattr(hamiltonian, "_DENSE_CUTOFF", cutoff)
+    op = build_hamiltonian(spec)
+    dense = op.matrix.toarray()
+    expected = np.linalg.eigvalsh(dense)
+    for k in (1, 2, 12):
+        result = lowest_spectrum(op, k=k)
+        np.testing.assert_allclose(result.eigenvalues, expected[:k], rtol=0, atol=1e-10)
+        assert result.ground_degeneracy == int(np.sum(expected[:k] <= expected[0] + 1e-8))
+        vectors = result.vectors
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(k), atol=1e-10)
+        np.testing.assert_allclose(
+            dense @ vectors, vectors * result.eigenvalues, atol=1e-9 * op.norm_inf()
+        )
+    largest = hamiltonian.sector_split(op.matrix)[1].max()
+    assert result.method.startswith("lanczos") == (cutoff is not None and largest > cutoff)
+
+
+def test_stored_zero_entries_couple_nothing():
+    # states 0 and 1 store a zero coupling between them
+    matrix = sp.csr_matrix(
+        ([2.0, 0.0, 0.0, 1.0, 3.0], [0, 1, 0, 1, 2], [0, 2, 4, 5]), shape=(3, 3)
+    )
+    _, sizes = hamiltonian.sector_split(matrix)
+    assert sizes.tolist() == [1, 1, 1]
+    result = lowest_spectrum(matrix, k=3)
+    np.testing.assert_allclose(result.eigenvalues, [1.0, 2.0, 3.0])
+    np.testing.assert_allclose(np.abs(result.vectors), np.eye(3)[:, [1, 0, 2]])
+
+
+def test_open_chain_zero_modes_dense_oracle():
+    # every one of the 28 move classes at 2n=6 carries one zero mode
+    op = build_hamiltonian(ChainSpec(two_n=6, s=1, boundary="open"))
+    result = lowest_spectrum(op, k=30)
+    expected = np.linalg.eigvalsh(op.matrix.toarray())[:30]
+    assert int(np.sum(expected < 1e-10)) == 28
+    assert int(np.sum(np.abs(result.eigenvalues) < 1e-10)) == 28
+    assert result.ground_degeneracy == 28
+    np.testing.assert_allclose(result.eigenvalues, expected, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 42])
+def test_open_chain_ground_pair_at_every_seed(seed):
+    # the two lowest zero modes lie in different sectors; one Lanczos run on
+    # the whole space found only one of them at these seeds, and 0.0108584
+    op = build_hamiltonian(ChainSpec(two_n=8, s=1, boundary="open"))
+    result = lowest_spectrum(op, k=2, seed=seed)
+    np.testing.assert_allclose(result.eigenvalues, [0.0, 0.0], atol=1e-10)
+    assert result.ground_degeneracy == 2
+    assert result.method.startswith("lanczos")
+
+
 def test_matvec_operator_matches_matrix():
     rng = np.random.default_rng(7)
     for boundary in ("motzkin", "open", "periodic"):
@@ -350,6 +423,96 @@ def test_matvec_operator_matches_matrix():
 # ---------------------------------------------------------------------------
 # Move classes
 # ---------------------------------------------------------------------------
+
+
+def _union_find_classes(two_n, s, periodic):
+    """Union-find closure of the local moves, one configuration at a time.
+
+    Returns ``class_id``, ``members`` and ``labels`` numbered by smallest
+    member; the label is read off the reduced word of that member.
+    """
+    d = 2 * s + 1
+    dim = d**two_n
+    parent = np.arange(dim, dtype=np.int64)
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    # per-pair moves expressed on the two local digits
+    swaps = []
+    for k in range(1, s + 1):
+        swaps.append((0 * d + s + k, (s + k) * d + 0))
+        swaps.append((0 * d + k, k * d + 0))
+        swaps.append((0 * d + 0, k * d + s + k))
+    pair_positions = list(range(1, two_n)) + ([two_n] if periodic else [])
+    for j in pair_positions:
+        if j < two_n:
+            hi = d ** (two_n - j)
+            lo = d ** (two_n - j - 1)
+            for config in range(dim):
+                a = (config // hi) % d
+                b = (config // lo) % d
+                local = a * d + b
+                base = config - a * hi - b * lo
+                for x, y in swaps:
+                    if local == x:
+                        union(config, base + (y // d) * hi + (y % d) * lo)
+                    elif local == y:
+                        union(config, base + (x // d) * hi + (x % d) * lo)
+        else:
+            hi = d ** (two_n - 1)
+            for config in range(dim):
+                a = config % d               # site 2n
+                b = config // hi             # site 1
+                local = a * d + b
+                base = config - a - b * hi
+                for x, y in swaps:
+                    if local == x:
+                        union(config, base + (y // d) + (y % d) * hi)
+                    elif local == y:
+                        union(config, base + (x // d) + (x % d) * hi)
+    roots = np.array([find(int(x)) for x in range(dim)], dtype=np.int64)
+    unique_roots, class_id = np.unique(roots, return_inverse=True)
+    members = [np.flatnonzero(class_id == c) for c in range(unique_roots.size)]
+    labels = []
+    for rep in unique_roots:
+        word = []
+        for site in range(1, two_n + 1):
+            digit = (int(rep) // d ** (two_n - site)) % d
+            if digit == 0:
+                continue
+            if digit > s and word and word[-1] == digit - s:
+                word.pop()
+            else:
+                word.append(digit)
+        p = 0
+        while p < len(word) and word[p] > s:
+            p += 1
+        rights_then_lefts = all(1 <= digit <= s for digit in word[p:])
+        labels.append((p, len(word) - p) if rights_then_lefts else None)
+    return class_id, members, labels
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize(("two_n", "s"), [(2, 1), (4, 1), (6, 1), (2, 2), (4, 2), (6, 2)])
+def test_move_classes_match_union_find_oracle(two_n, s, periodic):
+    class_id, members, labels = _union_find_classes(two_n, s, periodic)
+    classes = local_move_classes(two_n, s, periodic=periodic)
+    np.testing.assert_array_equal(classes.class_id, class_id)
+    assert len(classes.members) == len(members)
+    for got, want in zip(classes.members, members):
+        np.testing.assert_array_equal(got, want)
+    assert classes.labels == labels
 
 
 def test_two_site_class_of_flat_string():
