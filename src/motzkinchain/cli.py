@@ -21,7 +21,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 
 from .errors import InvalidSpec, MotzkinChainError
 
@@ -74,16 +73,9 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    from .walks import write_text_atomic
+
+    write_text_atomic(path, text)
 
 
 def _emit_table(args, header: list[str], rows: list[list], out=None) -> None:

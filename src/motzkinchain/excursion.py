@@ -32,7 +32,7 @@ from .errors import (
     OverlapTooLarge,
     SizeExceeded,
 )
-from .walks import Walk, is_motzkin, motzkin_number, walk_area
+from .walks import Walk, halfwalk_table, is_motzkin, motzkin_number, walk_area
 
 DEFAULT_ZERO_COUNT = 40
 SERIES_TOL = 1e-12
@@ -335,43 +335,6 @@ def twist_angle(two_n: int) -> float:
     return TWIST_CONSTANT * two_n ** (-1.5)
 
 
-def _prefix_counts(two_n: int, s: int) -> list[list[int]]:
-    """F[j][h]: color-weighted valid prefixes of length j ending at height h."""
-    n = two_n // 2
-    table = [[0] * (n + 2) for _ in range(two_n + 1)]
-    table[0][0] = 1
-    for j in range(1, two_n + 1):
-        prev = table[j - 1]
-        row = table[j]
-        for h in range(min(j, n) + 1):
-            acc = prev[h]
-            if h:
-                acc += s * prev[h - 1]
-            acc += prev[h + 1]
-            row[h] = acc
-    return table
-
-
-def _suffix_counts(two_n: int, s: int) -> list[list[int]]:
-    """G[j][h]: color-weighted closings of length j descending from height h.
-
-    Down steps carry weight one because their colors are forced by the
-    letters already open.
-    """
-    n = two_n // 2
-    table = [[0] * (n + 2) for _ in range(two_n + 1)]
-    table[0][0] = 1
-    for j in range(1, two_n + 1):
-        prev = table[j - 1]
-        row = table[j]
-        for h in range(n + 1):
-            acc = prev[h] + s * prev[h + 1]
-            if h:
-                acc += prev[h - 1]
-            row[h] = acc
-    return table
-
-
 def move_pair_count(two_n: int, s: int) -> int:
     """Number of (string, position, move) triples counted from one side.
 
@@ -381,20 +344,21 @@ def move_pair_count(two_n: int, s: int) -> int:
     once, from its flat-first representative.
     """
     _check_trial_size(two_n, s)
-    F = _prefix_counts(two_n, s)
-    G = _suffix_counts(two_n, s)
-    n = two_n // 2
+    # T[L][h] counts the closings of length L descending from height h (the
+    # colors of their h unmatched letters are forced), and s**h * T[L][h]
+    # the prefixes of length L ending at height h, whose unmatched letters
+    # take any color.
+    table = halfwalk_table(two_n, s)
     total = 0
     for j in range(1, two_n):
-        left = F[j - 1]
-        right = G[two_n - j - 1]
-        for h in range(n + 1):
-            if not left[h]:
-                continue
+        left = table[j - 1]
+        right = table[two_n - j - 1] + [0, 0]
+        # from above two_n - j the suffix cannot descend to the ground
+        for h in range(min(j, two_n - j + 1)):
             contributions = s * right[h + 1] + s * right[h]
             if h:
                 contributions += right[h - 1]
-            total += left[h] * contributions
+            total += s**h * left[h] * contributions
     return total
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DomainError, InvalidSpec, SizeExceeded
-from .hamiltonian import ChainSpec, build_hamiltonian, local_move_classes
+from .hamiltonian import ChainSpec, build_hamiltonian, local_move_classes, lowest_spectrum
 from .schmidt import sigma
 from .walks import EXACT_LIMIT, ballot_count, binomial, log_binomial
 
@@ -204,8 +204,9 @@ def sector_first_order_check(two_n: int, epsilon0: float = 1e-3) -> SectorCheck:
 
     The bulk projectors never connect different sectors and the field is
     diagonal, so the full operator block-diagonalizes over the move
-    classes.  The lowest eigenvalue of each block is compared with the
-    field strength times the mean non-flat count at the block's imbalance.
+    classes.  The lowest eigenvalue of each block, certified by
+    :func:`lowest_spectrum`, is compared with the field strength times the
+    mean non-flat count at the block's imbalance.
     """
     if not 0.0 < epsilon0 < 1.0:
         raise DomainError("epsilon0 must lie in (0, 1)")
@@ -219,8 +220,7 @@ def sector_first_order_check(two_n: int, epsilon0: float = 1e-3) -> SectorCheck:
         if label is None:
             raise InvalidSpec("a one-color sector failed to reduce to rights-then-lefts")
         m = label[0] + label[1]
-        block = matrix[members][:, members].toarray()
-        lowest = float(np.linalg.eigvalsh(block)[0])
+        lowest = lowest_spectrum(matrix[members][:, members], k=1).lambda1
         predicted = eps * field_expectation_exact(two_n, m, 1)
         worst = max(worst, abs(lowest - predicted))
         by_imbalance.setdefault(m, []).append(lowest)

@@ -187,8 +187,6 @@ def _mult_table(basis: DyckBasis) -> dict[tuple[int, int], int]:
     """How many distinct peak removals connect each (shorter, longer) pair."""
     table: dict[tuple[int, int], int] = {}
     for t_idx, walk in enumerate(basis.paths):
-        if len(walk) == 0:
-            continue
         for i in peak_positions(walk):
             u_idx = basis.index[remove_peak(walk, i)]
             key = (u_idx, t_idx)
@@ -638,11 +636,7 @@ def edge_load(tree: CanonicalTree, transition: TransitionMatrix) -> EdgeLoadResu
             weight = pi[a] * pi[b]
             for move in moves:
                 loads[move] = loads.get(move, 0.0) + weight
-    mult: dict[tuple[int, int], int] = {}
-    for t_idx, walk in enumerate(basis.paths):
-        for i in peak_positions(walk):
-            u_idx = basis.index[remove_peak(walk, i)]
-            mult[(u_idx, t_idx)] = mult.get((u_idx, t_idx), 0) + 1
+    mult = _mult_table(basis)
     rho = 0.0
     argmax = (-1, -1, -1)
     for (a, b, peak), load in loads.items():

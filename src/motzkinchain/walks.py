@@ -20,6 +20,7 @@ external-field modules.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import tempfile
@@ -558,20 +559,29 @@ class CountTable:
         write_csv_atomic(path, ["n", "m", "s", "count_log_e", "count_exact_or_empty"], rows)
 
 
-def write_csv_atomic(
-    path: str | os.PathLike, header: Sequence[str], rows: Sequence[Sequence]
-) -> None:
-    """Write a CSV with LF line endings via a temp file and atomic rename."""
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write text unchanged (no newline translation) via a temp file in the
+    target directory and an atomic rename; the temp file is removed on
+    failure."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv_atomic(
+    path: str | os.PathLike, header: Sequence[str], rows: Sequence[Sequence]
+) -> None:
+    """Write a CSV with LF line endings via a temp file and atomic rename."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text_atomic(path, buffer.getvalue())

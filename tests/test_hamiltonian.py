@@ -29,9 +29,9 @@ from motzkinchain.hamiltonian import (
     build_move_part,
     field_diagonal,
     gap_scan,
+    iter_projector_terms,
     local_move_classes,
     lowest_spectrum,
-    matvec_operator,
     motzkin_indices,
     move_block,
     pair_block,
@@ -121,13 +121,48 @@ def _oracle_hamiltonian(two_n, s, boundary):
 
 @pytest.mark.parametrize(
     ("two_n", "s", "boundary"),
-    [(4, 1, "motzkin"), (4, 1, "open"), (4, 1, "periodic"), (4, 2, "motzkin"), (2, 3, "motzkin")],
+    [
+        (4, 1, "motzkin"),
+        (4, 1, "open"),
+        (4, 1, "periodic"),
+        (2, 1, "periodic"),  # the wrap pair is the bulk pair reversed
+        (4, 2, "motzkin"),
+        (4, 2, "open"),
+        (4, 2, "periodic"),
+        (2, 3, "motzkin"),
+    ],
 )
 def test_assembly_matches_dense_oracle(two_n, s, boundary):
     spec = ChainSpec(two_n=two_n, s=s, boundary=boundary)
     built = build_hamiltonian(spec).matrix.toarray()
     oracle = _oracle_hamiltonian(two_n, s, boundary)
     np.testing.assert_allclose(built, oracle, atol=1e-14)
+
+
+@pytest.mark.parametrize("boundary", ["motzkin", "open", "periodic"])
+@pytest.mark.parametrize("s", [1, 2])
+def test_terms_and_parts_sum_to_hamiltonian(s, boundary):
+    spec = ChainSpec(two_n=4, s=s, boundary=boundary)
+    full = build_hamiltonian(spec).matrix.toarray()
+    terms = list(iter_projector_terms(spec))
+    np.testing.assert_allclose(sum(term.toarray() for _, term in terms), full, atol=1e-14)
+    parts = build_move_part(spec).matrix.toarray() + build_interaction_part(spec).matrix.toarray()
+    for label, term in terms:
+        if label.endswith(":cross") or label == "boundary":
+            parts += term.toarray()
+    np.testing.assert_allclose(parts, full, atol=1e-14)
+
+
+def test_projector_term_labels_on_two_color_ring():
+    spec = ChainSpec(two_n=4, s=2, boundary="periodic")
+    names = [
+        "shift-right-1", "shift-left-1", "create-pair-1",
+        "shift-right-2", "shift-left-2", "create-pair-2",
+        "cross",
+    ]
+    pairs = ["pair(1,2)", "pair(2,3)", "pair(3,4)", "wrap"]
+    labels = [label for label, _ in iter_projector_terms(spec)]
+    assert labels == [f"{pair}:{name}" for pair in pairs for name in names]
 
 
 def test_field_term_adds_scaled_diagonal():
@@ -407,17 +442,6 @@ def test_open_chain_ground_pair_at_every_seed(seed):
     np.testing.assert_allclose(result.eigenvalues, [0.0, 0.0], atol=1e-10)
     assert result.ground_degeneracy == 2
     assert result.method.startswith("lanczos")
-
-
-def test_matvec_operator_matches_matrix():
-    rng = np.random.default_rng(7)
-    for boundary in ("motzkin", "open", "periodic"):
-        spec = ChainSpec(two_n=4, s=2, boundary=boundary)
-        op = matvec_operator(spec)
-        dense = build_hamiltonian(spec).matrix.toarray()
-        for _ in range(3):
-            v = rng.standard_normal(spec.dim)
-            np.testing.assert_allclose(op @ v, dense @ v, atol=1e-12 * spec.dim)
 
 
 # ---------------------------------------------------------------------------
