@@ -28,7 +28,7 @@ from scipy.special import logsumexp
 from .errors import DomainError, InvalidSpec, SizeExceeded
 from .hamiltonian import ChainSpec, build_hamiltonian, local_move_classes, lowest_spectrum
 from .schmidt import sigma
-from .walks import EXACT_LIMIT, ballot_count, binomial, log_binomial
+from .walks import EXACT_LIMIT, ballot_count, binomial, log_halfwalk_terms
 
 LOG_LIMIT = 2000
 
@@ -63,17 +63,11 @@ def field_expectation_exact(n: int, m: int, s: int) -> float:
         return m + float(Fraction(2 * num, den))
     if n > LOG_LIMIT:
         raise SizeExceeded(f"log-space sums stop at n = {LOG_LIMIT}")
-    i = np.arange(pairs_max + 1)
-    log_terms = (
-        log_binomial(n, 2 * i + m)
-        + log_binomial(2 * i + m, i)
-        + np.log((m + 1.0) / (i + m + 1.0))
-        + i * math.log(s)
-    )
     if pairs_max == 0:
         return float(m)
+    log_terms = next(log_halfwalk_terms(n, s, m, m + 1))[0]
     log_den = logsumexp(log_terms)
-    log_num = logsumexp(log_terms[1:] + np.log(i[1:]))
+    log_num = logsumexp(log_terms[1:] + np.log(np.arange(1, pairs_max + 1)))
     return m + 2.0 * math.exp(log_num - log_den)
 
 

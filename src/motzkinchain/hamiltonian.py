@@ -199,7 +199,8 @@ def _assemble(spec: ChainSpec, families: Sequence[str]) -> sp.csr_matrix:
     """The chosen families' blocks on every site pair, summed pair by pair.
 
     One CSR per site pair, added in turn: a single concatenation of all the
-    triplets measured slower to convert at 2n=12.
+    triplets measured slower to convert at 2n=12. The left-to-right order is
+    kept for bit-stability: a pairwise sum is faster but moves the last bits.
     """
     spec.check_size()
     block = _block(spec.s, families)

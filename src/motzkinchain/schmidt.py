@@ -159,7 +159,7 @@ def saddle_point(n: int, m: int, s: int) -> float:
 def halfwalk_term_argmax(n: int, m: int, s: int) -> int:
     """Index ``i`` (number of matched pairs) maximizing the summand of
     ``M(n,m,s)``; the saddle-point formula approximates this."""
-    from .walks import ballot_count, binomial, log_binomial
+    from .walks import ballot_count, binomial, log_halfwalk_terms
 
     i_max = (n - m) // 2
     if n <= EXACT_LIMIT:
@@ -169,14 +169,7 @@ def halfwalk_term_argmax(n: int, m: int, s: int) -> int:
             if val > best_val:
                 best, best_val = i, val
         return best
-    i = np.arange(i_max + 1)
-    terms = (
-        log_binomial(n, 2 * i + m)
-        + log_binomial(2 * i + m, i)
-        + np.log((m + 1.0) / (i + m + 1.0))
-        + i * math.log(s)
-    )
-    return int(np.argmax(terms))
+    return int(np.argmax(next(log_halfwalk_terms(n, s, m, m + 1))[0]))
 
 
 def schmidt_weight_argmax(table: CountTable) -> int:

@@ -10,8 +10,9 @@ The module offers two arithmetic routes for the counting functions:
 
 * exact arbitrary-precision integers, used for half-chain lengths up to
   ``EXACT_LIMIT``;
-* natural-log floating point built on ``gammaln`` with log-sum-exp
-  accumulation, usable far beyond that.
+* natural-log floating point built on ``gammaln``, with every height's
+  summands evaluated in one chunked term array and summed by log-sum-exp,
+  usable far beyond that.
 
 ``CountTable`` bundles both and is the input to the Schmidt-spectrum and
 external-field modules.
@@ -30,12 +31,15 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
 from .errors import DomainError, InvalidSpec, ParseError, SizeExceeded
 
 EXACT_LIMIT = 300
 ENUMERATION_GUARD = 10**8
+# entries per chunk of log-space summands (256 KiB), so a table's memory is O(n)
+_TERM_CHUNK = 2**15
 
 FLAT = "0"
 UP = "u"
@@ -450,37 +454,65 @@ class _LogFactorials:
 _LOG_FACT = _LogFactorials()
 
 
-def log_binomial(n: np.ndarray | int, k: np.ndarray | int) -> np.ndarray | float:
-    """Natural log of C(n, k), vectorized over both arguments; -inf outside range."""
-    n_arr, k_arr = np.broadcast_arrays(np.asarray(n), np.asarray(k))
-    table = _LOG_FACT.grow(int(np.max(n_arr, initial=1)))
-    out = np.full(n_arr.shape, -math.inf)
-    ok = (k_arr >= 0) & (k_arr <= n_arr)
-    nn, kk = n_arr[ok], k_arr[ok]
-    out[ok] = table[nn] - table[kk] - table[nn - kk]
-    if np.isscalar(n) and np.isscalar(k):
-        return float(out)
-    return out
+def log_halfwalk_terms(n: int, s: int, m_start: int, m_stop: int) -> Iterator[np.ndarray]:
+    """Yield the summands of ``log M(n, m, s)`` for heights ``m_start <= m < m_stop``.
+
+    Each chunk holds consecutive heights in rows and the pair count ``i``
+    along columns, starting at 0, with the term
+
+        log C(n, 2i+m) + log C(2i+m, i) + log((m+1)/(i+m+1)) + i log s
+
+    and -inf past a row's last pair count ``(n-m)//2``.  The ballot
+    difference is folded into the positive factor ``(m+1)/(i+m+1)`` so no
+    cancellation occurs.  A chunk holds about ``_TERM_CHUNK`` entries.
+    """
+    fact = _LOG_FACT.grow(n)[: n + 1]
+    # k = 2i+m and i+m may pass n, and n-k drop below zero, only past a row's
+    # end: zeros above and +inf below make those entries come out -inf
+    up = np.concatenate([fact, np.zeros(n + 1)])
+    down = np.concatenate([fact[::-1], np.full(n + 1, math.inf)])
+    step = up.strides[0]
+    log_s = math.log(s)
+    m0 = m_start
+    while m0 < m_stop:
+        width = (n - m0) // 2 + 1
+        shape = (min(m_stop - m0, max(1, _TERM_CHUNK // width)), width)
+        m = np.arange(m0, m0 + shape[0])[:, None]
+        i = np.arange(width)
+        k_fact = as_strided(up[m0:], shape, (step, 2 * step))
+        terms = fact[n] - k_fact - as_strided(down[m0:], shape, (step, 2 * step))
+        terms += k_fact - fact[:width] - as_strided(up[m0:], shape, (step, step))
+        terms += np.log((m + 1.0) / (i + m + 1.0))
+        terms += i * log_s
+        yield terms
+        m0 += shape[0]
+
+
+def _log_halfwalk(n: int, s: int, m_start: int, m_stop: int) -> np.ndarray:
+    """``log M(n, m, s)`` for ``m_start <= m < m_stop``, one log-sum-exp per row.
+
+    Each row is summed as its own contiguous slice, which keeps the pairwise
+    grouping of a 1-D ``np.sum``; a 2-D sum over the -inf padding does not,
+    and moves the last bit.
+    """
+    out = []
+    for terms in log_halfwalk_terms(n, s, m_start, m_stop):
+        peaks = terms.max(axis=1)
+        terms -= peaks[:, None]
+        np.exp(terms, out=terms)
+        for row, peak in zip(terms, peaks):
+            m = m_start + len(out)
+            out.append(float(peak) + math.log(float(row[: (n - m) // 2 + 1].sum())))
+    return np.array(out, dtype=float)
 
 
 def log_colored_halfwalk_count(n: int, m: int, s: int) -> float:
-    """Log-space version of :func:`colored_halfwalk_count`.
-
-    The ballot difference is folded into the positive factor
-    ``(m+1)/(i+m+1)`` so no cancellation occurs.
-    """
+    """Log-space version of :func:`colored_halfwalk_count`."""
     if s < 1:
         raise InvalidSpec("color count s must be >= 1")
     if m < 0 or m > n:
         return -math.inf
-    i = np.arange((n - m) // 2 + 1)
-    terms = (
-        log_binomial(n, 2 * i + m)
-        + log_binomial(2 * i + m, i)
-        + np.log((m + 1.0) / (i + m + 1.0))
-        + i * math.log(s)
-    )
-    return _logsumexp(terms)
+    return float(_log_halfwalk(n, s, m, m + 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +563,8 @@ class CountTable:
                 halfwalk=counts,
                 total=total,
             )
-        log_s = math.log(s)
-        logs = np.array(
-            [log_colored_halfwalk_count(n, m, s) for m in range(n + 1)], dtype=float
-        )
-        m_arr = np.arange(n + 1)
-        log_total = _logsumexp(m_arr * log_s + 2.0 * logs)
+        logs = _log_halfwalk(n, s, 0, n + 1)
+        log_total = _logsumexp(np.arange(n + 1) * math.log(s) + 2.0 * logs)
         return cls(n=n, s=s, log_halfwalk=logs, log_total=log_total)
 
     def log_schmidt_weight(self) -> np.ndarray:

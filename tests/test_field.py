@@ -6,6 +6,7 @@ on the log-space branch.  Sector diagonalization then confirms the
 first-order shifts on the actual chain operator.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -121,6 +122,20 @@ def test_ground_sector_shift_approaches_asymptote():
     report = field_energies(1000, 2, 1e-3, m_max=0)
     rel = abs(report.energies[0] - report.ground_energy) / report.ground_energy
     assert rel < 1e-3
+
+
+def test_log_space_energies_match_recorded_values():
+    # recorded from the per-height log-space loop the chunked term rows
+    # replaced; the digest covers all 2,001 expectations and energies
+    report = field_energies(1000, 2, 1e-3)
+    assert report.exact_expectations[0] == 1477.2005105130686
+    assert report.exact_expectations[63] == 1477.5623343958034
+    assert report.exact_expectations[500] == 1499.6859743362993
+    assert report.exact_expectations[2000] == 2000.0
+    values = [report.exact_expectations[m] for m in range(2001)]
+    values += [report.energies[m] for m in range(2001)]
+    digest = hashlib.sha256(np.array(values, dtype="<f8").tobytes()).hexdigest()
+    assert digest == "6f775b58a176ccf7c4c2a419577b440e5753fca7aeb9da3874fd246d87d1c43f"
 
 
 def test_first_two_sectors_split_like_inverse_square():

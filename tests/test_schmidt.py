@@ -214,6 +214,8 @@ def test_saddle_point_flat_sector():
 
 
 def test_saddle_point_tracks_term_argmax():
+    # 128 was recorded from the per-height log-space loop the chunked term rows replaced
+    assert halfwalk_term_argmax(400, 40, 2) == 128
     assert abs(halfwalk_term_argmax(400, 40, 2) - saddle_point(400, 40, 2)) <= 2
 
 

@@ -7,12 +7,14 @@ checked independently (math.comb, explicit DP recurrences).
 
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from conftest import (
     all_digit_strings,
@@ -40,7 +42,6 @@ from motzkinchain.walks import (
     is_dyck,
     is_motzkin,
     is_valid_prefix,
-    log_binomial,
     log_colored_halfwalk_count,
     motzkin_number,
     up,
@@ -377,6 +378,33 @@ def test_walk_area_on_tokens():
 # ---------------------------------------------------------------------------
 
 
+def log_binomial(n, k):
+    """Natural log of C(n, k) from ``gammaln`` log-factorials; -inf outside range."""
+    n_arr, k_arr = np.broadcast_arrays(np.asarray(n), np.asarray(k))
+    table = gammaln(np.arange(int(np.max(n_arr, initial=1)) + 1, dtype=float) + 1.0)
+    out = np.full(n_arr.shape, -math.inf)
+    ok = (k_arr >= 0) & (k_arr <= n_arr)
+    nn, kk = n_arr[ok], k_arr[ok]
+    out[ok] = table[nn] - table[kk] - table[nn - kk]
+    if np.isscalar(n) and np.isscalar(k):
+        return float(out)
+    return out
+
+
+def per_height_log_count(n, m, s):
+    """The per-height loop the chunked log-space kernel replaced: one term
+    array and one log-sum-exp for each height ``m``."""
+    i = np.arange((n - m) // 2 + 1)
+    terms = (
+        log_binomial(n, 2 * i + m)
+        + log_binomial(2 * i + m, i)
+        + np.log((m + 1.0) / (i + m + 1.0))
+        + i * math.log(s)
+    )
+    peak = float(np.max(terms))
+    return peak + math.log(float(np.sum(np.exp(terms - peak))))
+
+
 def test_log_binomial_scalar_and_array():
     assert log_binomial(10, 3) == pytest.approx(math.log(math.comb(10, 3)), rel=1e-14)
     n = np.arange(6)
@@ -438,6 +466,34 @@ def test_count_table_log_mode_matches_exact_mode(n, s):
         logged.log_halfwalk, exact.log_halfwalk, rtol=1e-11, atol=1e-11
     )
     assert logged.log_total == pytest.approx(exact.log_total, rel=1e-11)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 301, 302, 1999, 5000])
+def test_log_table_matches_per_height_loop_bit_for_bit(n, s):
+    # even and odd n; n <= 3 fits one chunk, 301 and 302 take two, 1999 and
+    # 5000 take 33 and 198
+    table = CountTable.build(n, s, mode="log")
+    logs = np.array([per_height_log_count(n, m, s) for m in range(n + 1)])
+    weights = np.arange(n + 1) * math.log(s) + 2.0 * logs
+    peak = float(np.max(weights))
+    log_total = peak + math.log(float(np.sum(np.exp(weights - peak))))
+    assert np.array_equal(table.log_halfwalk, logs)
+    assert table.log_total == log_total
+    for m in (0, n // 2, n):
+        assert log_colored_halfwalk_count(n, m, s) == logs[m]
+
+
+def test_log_table_memory_stays_linear():
+    # one (n+1) x (n/2+1) term grid would take about 100 MB at n = 5000
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        CountTable.build(5000, 2, mode="log")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_count_table_log_mode_reaches_large_sizes():
