@@ -32,7 +32,7 @@ from .errors import (
     OverlapTooLarge,
     SizeExceeded,
 )
-from .walks import Walk, halfwalk_table, is_motzkin, motzkin_number, walk_area
+from .walks import halfwalk_table, motzkin_number
 
 DEFAULT_ZERO_COUNT = 40
 SERIES_TOL = 1e-12
@@ -415,32 +415,6 @@ def trial_energy_exact(
         move_pair_count(two_n, s) / total
     )
     return overlap, energy
-
-
-@dataclass(frozen=True)
-class TrialState:
-    """Uniform-modulus state with an area-proportional phase twist."""
-
-    two_n: int
-    s: int
-    theta_tilde: float
-
-    def __post_init__(self):
-        _check_trial_size(self.two_n, self.s)
-
-    @property
-    def string_count(self) -> int:
-        return motzkin_number(self.two_n, self.s)
-
-    def amplitude(self, area: int) -> complex:
-        return cmath.exp(2j * math.pi * self.theta_tilde * area) / math.sqrt(
-            self.string_count
-        )
-
-    def amplitude_of(self, walk: Walk) -> complex:
-        if len(walk) != self.two_n or not is_motzkin(walk):
-            raise InvalidSpec("amplitudes are defined on complete strings only")
-        return self.amplitude(walk_area(walk))
 
 
 @dataclass

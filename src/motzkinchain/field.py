@@ -28,7 +28,7 @@ from scipy.special import logsumexp
 from .errors import DomainError, InvalidSpec, SizeExceeded
 from .hamiltonian import ChainSpec, build_hamiltonian, local_move_classes, lowest_spectrum
 from .schmidt import sigma
-from .walks import EXACT_LIMIT, ballot_count, binomial, log_halfwalk_terms
+from .walks import EXACT_LIMIT, halfwalk_term_row, log_halfwalk_terms
 
 LOG_LIMIT = 2000
 
@@ -54,13 +54,9 @@ def field_expectation_exact(n: int, m: int, s: int) -> float:
     _check_height_args(n, m, s)
     pairs_max = (n - m) // 2
     if n <= EXACT_LIMIT:
-        num = 0
-        den = 0
-        for i in range(pairs_max + 1):
-            term = binomial(n, 2 * i + m) * ballot_count(2 * i + m, m) * s**i
-            num += i * term
-            den += term
-        return m + float(Fraction(2 * num, den))
+        terms = halfwalk_term_row(n, m, s)
+        num = sum(i * term for i, term in enumerate(terms))
+        return m + float(Fraction(2 * num, sum(terms)))
     if n > LOG_LIMIT:
         raise SizeExceeded(f"log-space sums stop at n = {LOG_LIMIT}")
     if pairs_max == 0:

@@ -30,7 +30,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidSpec, NoConvergence, SizeExceeded
-from .walks import Walk, enumerate_walks
+from .walks import enumerate_walks
 
 DIMENSION_GUARD = 2 * 10**7
 DEGENERACY_TOL = 1e-8
@@ -270,19 +270,14 @@ def iter_projector_terms(spec: ChainSpec) -> Iterator[tuple[str, sp.csr_matrix]]
 # ---------------------------------------------------------------------------
 
 
-def walk_to_index(walk: Walk, s: int) -> int:
-    """Map a walk to its basis configuration (site 1 most significant)."""
+def walk_to_index(walk: Sequence[int], s: int) -> int:
+    """Map a walk to its basis configuration: its digits read in base ``d``,
+    site 1 most significant."""
     d = 2 * s + 1
     idx = 0
-    for step in walk:
-        if step.kind == "0":
-            digit = 0
-        elif step.kind == "u":
-            digit = step.color
-        else:
-            digit = s + step.color
-        if step.color > s:
-            raise InvalidSpec(f"walk uses color {step.color} > s = {s}")
+    for digit in walk:
+        if digit >= d:
+            raise InvalidSpec(f"walk uses color {digit - s} > s = {s}")
         idx = idx * d + digit
     return idx
 
@@ -301,12 +296,6 @@ def state_vector(two_n: int, s: int) -> np.ndarray:
     vec = np.zeros(spec.dim)
     vec[idx] = 1.0 / math.sqrt(len(idx))
     return vec
-
-
-def restrict_to_indices(op: SparseOperator, indices: np.ndarray) -> np.ndarray:
-    """Dense restriction of an operator to a basis-index subset."""
-    sub = op.matrix[indices][:, indices]
-    return np.asarray(sub.todense())
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ through a peak-removal tree, and assembles the one-dimensional hopping
 chain that governs the walk of an unmatched letter.
 
 Levels, trees, and matchings here are indexed by the half length ``m``
-of a path (a path of length ``2m`` sits at level ``m``).
+of a path (a path of length ``2m`` sits at level ``m``).  Paths are walks
+in the chain's digits (see :mod:`motzkinchain.walks`), and the uncolored
+shapes the matchings work on are one-color walks in the same digits.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 import networkx as nx
 import numpy as np
@@ -32,18 +33,7 @@ from .errors import (
     NegativeEntry,
     SizeExceeded,
 )
-from .walks import (
-    DOWN,
-    UP,
-    Walk,
-    binomial,
-    catalan_number,
-    down,
-    enumerate_walks,
-    flat,
-    motzkin_number,
-    up,
-)
+from .walks import binomial, catalan_number, encode_walk, enumerate_walks, motzkin_number
 
 BASIS_GUARD = 2 * 10**5
 OPERATOR_GUARD = 10**5
@@ -61,16 +51,16 @@ STOCHASTIC_TOL = 1e-12
 class DyckBasis:
     """All colored Dyck paths of length ``0, 2, ..., 2n`` in canonical order.
 
-    Canonical order is by length first, then lexicographically on the token
-    encoding, which keeps basis indices stable across runs.  ``level_of[i]``
-    is the half length of ``paths[i]`` and ``peak_count[i]`` its number of
-    peaks (an up step immediately closed by its down step).
+    Canonical order is by length first, then the canonical walk order,
+    which keeps basis indices stable across runs.  ``level_of[i]`` is the
+    half length of ``paths[i]`` and ``peak_count[i]`` its number of peaks
+    (an up step immediately closed by its down step).
     """
 
     n: int
     s: int
-    paths: tuple[Walk, ...]
-    index: dict[Walk, int]
+    paths: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
     level_of: np.ndarray
     level_offsets: tuple[int, ...]
     peak_count: np.ndarray
@@ -84,38 +74,24 @@ class DyckBasis:
             raise InvalidSpec(f"level {m} outside 0..{self.n}")
         return slice(self.level_offsets[m], self.level_offsets[m + 1])
 
-    def level_paths(self, m: int) -> tuple[Walk, ...]:
-        return self.paths[self.level_slice(m)]
-
 
 def basis_size(n: int, s: int) -> int:
     """Number of colored Dyck paths of length up to ``2n``."""
     return sum(s**m * catalan_number(m) for m in range(n + 1))
 
 
-def peak_positions(walk: Walk) -> list[int]:
-    """Indices ``i`` where step ``i`` is an up immediately closed at ``i+1``."""
-    out = []
-    for i in range(len(walk) - 1):
-        if walk[i].kind == UP and walk[i + 1].kind == DOWN:
-            out.append(i)
-    return out
+def peak_positions(walk: tuple[int, ...], s: int) -> list[int]:
+    """Indices ``i`` of a Dyck walk where the up step ``i`` is closed at ``i+1``."""
+    return [i for i in range(len(walk) - 1) if 0 < walk[i] <= s < walk[i + 1]]
 
 
-def remove_peak(walk: Walk, i: int) -> Walk:
+def remove_peak(walk: tuple[int, ...], i: int, s: int) -> tuple[int, ...]:
     """Drop the up/down pair at positions ``i`` and ``i+1``."""
     if i < 0 or i + 1 >= len(walk):
         raise InvalidSpec(f"no peak at position {i}")
-    if walk[i].kind != UP or walk[i + 1].kind != DOWN:
-        raise InvalidSpec(f"steps {i},{i + 1} of {walk.text()!r} are not a peak")
-    return Walk(walk.steps[:i] + walk.steps[i + 2 :])
-
-
-def insert_peak(walk: Walk, i: int, color: int) -> Walk:
-    """Insert an up/down pair of the given color before position ``i``."""
-    if i < 0 or i > len(walk):
-        raise InvalidSpec(f"insertion point {i} outside walk")
-    return Walk(walk.steps[:i] + (up(color), down(color)) + walk.steps[i:])
+    if not 0 < walk[i] <= s < walk[i + 1]:
+        raise InvalidSpec(f"steps {i},{i + 1} of {encode_walk(walk, s)!r} are not a peak")
+    return walk[:i] + walk[i + 2 :]
 
 
 def dyck_basis(n: int, s: int) -> DyckBasis:
@@ -126,7 +102,7 @@ def dyck_basis(n: int, s: int) -> DyckBasis:
         raise SizeExceeded(
             f"{total} colored Dyck paths exceed the basis guard {BASIS_GUARD:.0e}"
         )
-    paths: list[Walk] = []
+    paths: list[tuple[int, ...]] = []
     offsets = [0]
     for m in range(n + 1):
         level = list(enumerate_walks(2 * m, s, "dyck"))
@@ -138,7 +114,7 @@ def dyck_basis(n: int, s: int) -> DyckBasis:
     level_of = np.empty(total, dtype=np.int64)
     for m in range(n + 1):
         level_of[offsets[m] : offsets[m + 1]] = m
-    peaks = np.array([len(peak_positions(p)) for p in paths], dtype=np.int64)
+    peaks = np.array([len(peak_positions(p, s)) for p in paths], dtype=np.int64)
     return DyckBasis(
         n=n,
         s=s,
@@ -151,34 +127,6 @@ def dyck_basis(n: int, s: int) -> DyckBasis:
 
 
 # ---------------------------------------------------------------------------
-# Embedding into the spin chain
-# ---------------------------------------------------------------------------
-
-
-def embed_uniform(path: Walk, two_n: int) -> dict[Walk, float]:
-    """Uniform superposition over all flat-step insertions of a Dyck path.
-
-    Returns the amplitude of every length ``two_n`` string whose letter
-    subsequence equals ``path``; each carries ``1/sqrt(binom(2n, 2m))``.
-    The images of distinct paths use disjoint strings, so the embedding
-    is an isometry.
-    """
-    two_m = len(path)
-    if two_m > two_n:
-        raise InvalidSpec(f"path of length {two_m} does not fit in {two_n} sites")
-    if any(step.kind not in (UP, DOWN) for step in path):
-        raise InvalidSpec("only flat-free paths can be embedded")
-    amplitude = 1.0 / math.sqrt(binomial(two_n, two_m))
-    out: dict[Walk, float] = {}
-    for positions in combinations(range(two_n), two_m):
-        steps = [flat()] * two_n
-        for letter, pos in zip(path, positions):
-            steps[pos] = letter
-        out[Walk(tuple(steps))] = amplitude
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Projected Hamiltonian and transition matrix
 # ---------------------------------------------------------------------------
 
@@ -187,8 +135,8 @@ def _mult_table(basis: DyckBasis) -> dict[tuple[int, int], int]:
     """How many distinct peak removals connect each (shorter, longer) pair."""
     table: dict[tuple[int, int], int] = {}
     for t_idx, walk in enumerate(basis.paths):
-        for i in peak_positions(walk):
-            u_idx = basis.index[remove_peak(walk, i)]
+        for i in peak_positions(walk, basis.s):
+            u_idx = basis.index[walk[:i] + walk[i + 2 :]]
             key = (u_idx, t_idx)
             table[key] = table.get(key, 0) + 1
     return table
@@ -310,28 +258,25 @@ def build_transition(two_n: int, s: int) -> TransitionMatrix:
     return result
 
 
-def heff_kernel_vector(basis: DyckBasis) -> np.ndarray:
-    """The unit vector with amplitude ``sqrt(binom(2n,2m)/M_{2n,s})`` per path."""
-    return np.sqrt(ground_weights(basis))
-
-
 # ---------------------------------------------------------------------------
 # Fractional matching between consecutive levels
 # ---------------------------------------------------------------------------
 
+# an uncolored Dyck shape: a one-color walk, ups 1 and downs 2
 Shape = tuple[int, ...]
 
 
-def _shape_of(walk: Walk) -> Shape:
-    return tuple(step.rise for step in walk)
+def _shape_of(walk: tuple[int, ...], s: int) -> Shape:
+    """The uncolored shape of a colored Dyck walk."""
+    return tuple(2 if digit > s else 1 for digit in walk)
 
 
 def _last_return(shape: Shape) -> int:
     """Start of the final arch: the last prefix of height zero."""
     h = 0
     last = 0
-    for i, rise in enumerate(shape[:-1]):
-        h += rise
+    for i, letter in enumerate(shape[:-1]):
+        h += 1 if letter == 1 else -1
         if h == 0:
             last = i + 1
     return last
@@ -391,7 +336,7 @@ def fractional_peak_weights(shape: Shape) -> tuple[tuple[int, Fraction], ...]:
 
 
 def _uncolored_level(m: int) -> list[Shape]:
-    return [_shape_of(w) for w in enumerate_walks(2 * m, 1, "dyck")]
+    return list(enumerate_walks(2 * m, 1, "dyck"))
 
 
 def fractional_matching_level(m: int) -> dict[Shape, dict[Shape, Fraction]]:
@@ -463,18 +408,10 @@ def rounded_matching_level(m: int) -> dict[Shape, tuple[Shape, int]]:
             raise MatchingInfeasible(f"shape {shape} left unassigned")
         parent = parents[chosen[0][1]]
         peak = next(
-            i_
-            for i_ in peak_positions_shape(shape)
-            if shape[:i_] + shape[i_ + 2 :] == parent
+            i_ for i_ in peak_positions(shape, 1) if shape[:i_] + shape[i_ + 2 :] == parent
         )
         out[shape] = (parent, peak)
     return out
-
-
-def peak_positions_shape(shape: Shape) -> list[int]:
-    return [
-        i for i in range(len(shape) - 1) if shape[i] == 1 and shape[i + 1] == -1
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +455,8 @@ def build_canonical_tree(n: int, s: int) -> CanonicalTree:
         assignment = rounded_matching_level(m)
         for i in range(*basis.level_slice(m).indices(basis.size)):
             walk = basis.paths[i]
-            _, peak = assignment[_shape_of(walk)]
-            up_idx = basis.index[remove_peak(walk, peak)]
+            _, peak = assignment[_shape_of(walk, s)]
+            up_idx = basis.index[remove_peak(walk, peak, s)]
             parent[i] = up_idx
             parent_peak[i] = peak
             children[up_idx].append(i)
@@ -531,23 +468,16 @@ def build_canonical_tree(n: int, s: int) -> CanonicalTree:
     )
 
 
-def canonical_path(tree: CanonicalTree, start: int, goal: int) -> list[int]:
-    """Route between two basis paths through tree ancestry.
+def canonical_path_with_moves(
+    tree: CanonicalTree, start: int, goal: int
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Route between two basis paths through tree ancestry, with per-edge
+    bookkeeping.
 
     Alternates between cutting the designated peak of the shrinking start
     remnant and inserting the next peak of the growing goal prefix; the
     longer endpoint moves first.  Consecutive states differ by exactly one
     peak and the route has at most ``level(start) + level(goal)`` edges.
-    """
-    states, _ = canonical_path_with_moves(tree, start, goal)
-    return states
-
-
-def canonical_path_with_moves(
-    tree: CanonicalTree, start: int, goal: int
-) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Route plus per-edge bookkeeping.
-
     Each move is ``(a, b, peak)`` for the transition from state ``a`` to
     state ``b``, where ``peak`` is the step index of the changed peak inside
     the longer of the two states.
@@ -565,7 +495,7 @@ def canonical_path_with_moves(
     remnant = shrink_chain[0]
     shrink_pos = 0
     grow_pos = 0
-    prefix: Walk = grow_chain[0]
+    prefix = grow_chain[0]
     current = remnant
     states = [start]
     moves: list[tuple[int, int, int]] = []
@@ -584,7 +514,7 @@ def canonical_path_with_moves(
             grow_pos += 1
             prefix = grow_chain[grow_pos]
             longer_peak = len(remnant) + grow_peaks[grow_pos]
-        current = Walk(remnant.steps + prefix.steps)
+        current = remnant + prefix
         b_idx = basis.index[current]
         states.append(b_idx)
         moves.append((a_idx, b_idx, longer_peak))

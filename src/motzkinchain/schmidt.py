@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .walks import CountTable, EXACT_LIMIT
+from .walks import EXACT_LIMIT, CountTable, halfwalk_term_row, log_halfwalk_terms
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -159,22 +159,10 @@ def saddle_point(n: int, m: int, s: int) -> float:
 def halfwalk_term_argmax(n: int, m: int, s: int) -> int:
     """Index ``i`` (number of matched pairs) maximizing the summand of
     ``M(n,m,s)``; the saddle-point formula approximates this."""
-    from .walks import ballot_count, binomial, log_halfwalk_terms
-
-    i_max = (n - m) // 2
     if n <= EXACT_LIMIT:
-        best, best_val = 0, -1
-        for i in range(i_max + 1):
-            val = binomial(n, 2 * i + m) * ballot_count(2 * i + m, m) * s**i
-            if val > best_val:
-                best, best_val = i, val
-        return best
+        terms = halfwalk_term_row(n, m, s)
+        return max(range(len(terms)), key=terms.__getitem__, default=0)
     return int(np.argmax(next(log_halfwalk_terms(n, s, m, m + 1))[0]))
-
-
-def schmidt_weight_argmax(table: CountTable) -> int:
-    """Height ``m`` carrying the largest Schmidt weight ``s**m p_m``."""
-    return int(np.argmax(table.log_schmidt_weight()))
 
 
 def expected_mid_height(n: int, s: int = 1) -> tuple[float, float]:

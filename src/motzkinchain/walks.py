@@ -1,10 +1,14 @@
 """Colored Motzkin walk combinatorics.
 
-A walk is a string of flat, up, and down steps on the half line.  Up and down
-steps carry a color from ``1..s``; a walk is a (colored) Motzkin walk when it
-never dips below zero, ends at zero, and every down step closes the most
-recent still-open up step of the same color.  Dyck walks are the flat-free
-special case.
+A walk is a plain tuple of the chain's own base-``(2s+1)`` digits, so a walk
+and a chain configuration are the same string: ``0`` is a flat step, ``c``
+an up (left) step of color ``c`` and ``s+c`` a down (right) step of color
+``c``, for ``c = 1..s``.  A walk is a (colored) Motzkin walk when it never
+dips below zero, ends at zero, and every down step closes the most recent
+still-open up step of the same color.  Dyck walks are the flat-free special
+case.  The canonical order is lexicographic over the letters flat, downs,
+ups, colors ascending within a kind: the digits ``0, s+1..2s, 1..s``.  The
+token text writes the same letters as ``0``, ``dc`` and ``uc``.
 
 The module offers two arithmetic routes for the counting functions:
 
@@ -22,12 +26,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -41,93 +45,22 @@ ENUMERATION_GUARD = 10**8
 # entries per chunk of log-space summands (256 KiB), so a table's memory is O(n)
 _TERM_CHUNK = 2**15
 
-FLAT = "0"
-UP = "u"
-DOWN = "d"
 
-
-@dataclass(frozen=True, order=True)
-class Step:
-    """One walk step: ``kind`` is '0', 'u', or 'd'; color is 0 for flat steps.
-
-    The field order makes tuple comparison coincide with the canonical token
-    ordering used throughout the package: flat before down before up, colors
-    ascending within a kind.
-    """
-
-    kind: str
-    color: int = 0
-
-    def __post_init__(self):
-        if self.kind not in (FLAT, UP, DOWN):
-            raise InvalidSpec(f"unknown step kind {self.kind!r}")
-        if self.kind == FLAT and self.color != 0:
-            raise InvalidSpec("flat steps carry no color")
-        if self.kind != FLAT and self.color < 1:
-            raise InvalidSpec("step colors are 1-based")
-
-    def token(self) -> str:
-        if self.kind == FLAT:
-            return "0"
-        return f"{self.kind}{self.color}"
-
-    @property
-    def rise(self) -> int:
-        if self.kind == UP:
-            return 1
-        if self.kind == DOWN:
-            return -1
-        return 0
-
-
-@lru_cache(maxsize=None)
-def _cached_step(kind: str, color: int) -> Step:
-    return Step(kind, color)
-
-
-def flat() -> Step:
-    return _cached_step(FLAT, 0)
-
-
-def up(color: int) -> Step:
-    return _cached_step(UP, color)
-
-
-def down(color: int) -> Step:
-    return _cached_step(DOWN, color)
-
-
-@dataclass(frozen=True)
-class Walk:
-    """An immutable sequence of steps."""
-
-    steps: tuple[Step, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __getitem__(self, i):
-        return self.steps[i]
-
-    def text(self) -> str:
-        return encode_walk(self)
-
-
-def encode_walk(walk: Walk) -> str:
+def encode_walk(walk: Sequence[int], s: int) -> str:
     """Render a walk as space-separated tokens, e.g. ``"u2 0 d2"``."""
-    return " ".join(step.token() for step in walk)
+    return " ".join(
+        "0" if digit == 0 else f"u{digit}" if digit <= s else f"d{digit - s}" for digit in walk
+    )
 
 
-def decode_walk(text: str) -> Walk:
+def decode_walk(text: str, s: int) -> tuple[int, ...]:
     """Parse the token format produced by :func:`encode_walk`.
 
     Raises :class:`ParseError` carrying the byte offset of the first bad
-    token.  Empty input decodes to the empty walk.
+    token, including a color outside ``1..s``.  Empty input decodes to the
+    empty walk.
     """
-    steps: list[Step] = []
+    digits: list[int] = []
     offset = 0
     n = len(text)
     while offset < n:
@@ -139,69 +72,16 @@ def decode_walk(text: str) -> Walk:
             end = n
         token = text[offset:end]
         if token == "0":
-            steps.append(flat())
-        elif token[0] in (UP, DOWN) and token[1:].isdigit():
+            digits.append(0)
+        elif token[0] in "ud" and token[1:].isdigit():
             color = int(token[1:])
-            if color < 1:
-                raise ParseError(f"color in token {token!r} must be >= 1", offset)
-            steps.append(Step(token[0], color))
+            if not 1 <= color <= s:
+                raise ParseError(f"color in token {token!r} must lie in 1..{s}", offset)
+            digits.append(color if token[0] == "u" else s + color)
         else:
             raise ParseError(f"unrecognized token {token!r}", offset)
         offset = end
-    return Walk(tuple(steps))
-
-
-def heights(walk: Walk) -> tuple[int, ...]:
-    """Height after each step; the walk starts at height zero."""
-    out = []
-    h = 0
-    for step in walk:
-        h += step.rise
-        out.append(h)
-    return tuple(out)
-
-
-def walk_area(walk: Walk) -> int:
-    """Area under the walk: the sum of heights after each step."""
-    return sum(heights(walk))
-
-
-def _scan(walk: Walk) -> tuple[bool, list[int]]:
-    """Stack-discipline scan.  Returns (valid, open colors bottom to top)."""
-    stack: list[int] = []
-    for step in walk:
-        if step.kind == UP:
-            stack.append(step.color)
-        elif step.kind == DOWN:
-            if not stack or stack[-1] != step.color:
-                return False, stack
-            stack.pop()
-    return True, stack
-
-
-def is_valid_prefix(walk: Walk) -> bool:
-    """True when the walk never dips below zero and every down step closes an
-    open up step of its own color."""
-    ok, _ = _scan(walk)
-    return ok
-
-
-def is_motzkin(walk: Walk) -> bool:
-    """True for a complete colored Motzkin walk (valid prefix ending at 0)."""
-    ok, stack = _scan(walk)
-    return ok and not stack
-
-
-def is_dyck(walk: Walk) -> bool:
-    """True for a colored Dyck walk: a Motzkin walk with no flat steps."""
-    return all(step.kind != FLAT for step in walk) and is_motzkin(walk)
-
-
-def _alphabet(colors: int, with_flat: bool) -> list[Step]:
-    steps = [flat()] if with_flat else []
-    steps += [down(c) for c in range(1, colors + 1)]
-    steps += [up(c) for c in range(1, colors + 1)]
-    return sorted(steps)
+    return tuple(digits)
 
 
 def enumerate_walks(
@@ -209,7 +89,7 @@ def enumerate_walks(
     colors: int,
     kind: str = "all",
     target_height: int | None = None,
-) -> Iterator[Walk]:
+) -> Iterator[tuple[int, ...]]:
     """Yield walks of the given length in canonical lexicographic order.
 
     ``kind`` selects the family:
@@ -251,50 +131,39 @@ def enumerate_walks(
             f"guard {ENUMERATION_GUARD:.0e}"
         )
 
+    ups = list(range(1, colors + 1))
     if kind == "all":
-        alphabet = _alphabet(colors, with_flat=True)
-        prefix: list[Step] = []
-
-        def rec_all(remaining: int) -> Iterator[Walk]:
-            if remaining == 0:
-                yield Walk(tuple(prefix))
-                return
-            for step in alphabet:
-                prefix.append(step)
-                yield from rec_all(remaining - 1)
-                prefix.pop()
-
-        yield from rec_all(length)
+        yield from itertools.product([0, *range(colors + 1, 2 * colors + 1), *ups], repeat=length)
         return
 
     goal = 0 if kind in ("motzkin", "dyck") else target_height
-    use_flat = kind != "dyck"
-    alphabet = _alphabet(colors, with_flat=use_flat)
-    prefix = []
+    flats = [0] if kind != "dyck" else []
+    prefix: list[int] = []
     stack: list[int] = []
 
-    def rec(remaining: int) -> Iterator[Walk]:
+    def rec(remaining: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
             if len(stack) == goal:
-                yield Walk(tuple(prefix))
+                yield tuple(prefix)
             return
         # the walk cannot come back far enough, or cannot climb high enough
         if len(stack) - remaining > goal or len(stack) + remaining < goal:
             return
-        for step in alphabet:
-            if step.kind == DOWN and (not stack or stack[-1] != step.color):
-                continue
-            if step.kind == UP:
-                stack.append(step.color)
-            elif step.kind == DOWN:
+        # canonical order: flat, the one down step that closes the top open
+        # color, then the ups
+        closing = [colors + stack[-1]] if stack else []
+        for letter in flats + closing + ups:
+            if letter > colors:
                 stack.pop()
-            prefix.append(step)
+            elif letter:
+                stack.append(letter)
+            prefix.append(letter)
             yield from rec(remaining - 1)
             prefix.pop()
-            if step.kind == UP:
+            if letter > colors:
+                stack.append(letter - colors)
+            elif letter:
                 stack.pop()
-            elif step.kind == DOWN:
-                stack.append(step.color)
 
     yield from rec(length)
 
@@ -336,6 +205,16 @@ def ballot_count(length: int, m: int) -> int:
     return binomial(length, i) - binomial(length, i - 1)
 
 
+def halfwalk_term_row(n: int, m: int, s: int) -> list[int]:
+    """The summands ``C(n, 2i+m) * ballot(2i+m, m) * s**i`` of ``M(n, m, s)``,
+    one per number ``i = 0..(n-m)//2`` of matched pairs; the exact twin of
+    :func:`log_halfwalk_terms`."""
+    return [
+        binomial(n, 2 * i + m) * ballot_count(2 * i + m, m) * s**i
+        for i in range((n - m) // 2 + 1)
+    ]
+
+
 def colored_halfwalk_count(n: int, m: int, s: int) -> int:
     """Count length-``n`` colored Motzkin prefixes ending at height ``m``.
 
@@ -349,10 +228,7 @@ def colored_halfwalk_count(n: int, m: int, s: int) -> int:
         raise InvalidSpec("color count s must be >= 1")
     if m < 0 or m > n:
         return 0
-    total = 0
-    for i in range((n - m) // 2 + 1):
-        total += binomial(n, 2 * i + m) * ballot_count(2 * i + m, m) * s**i
-    return total
+    return sum(halfwalk_term_row(n, m, s))
 
 
 def motzkin_number(length: int, s: int = 1) -> int:

@@ -2,8 +2,9 @@
 
 Everything here works on plain digit tuples with its own stack scans, so
 the expected values it produces do not depend on the library code under
-test.  Digit convention: 0 is a flat site, 1..s are open letters by
-color, s+1..2s are the matching close letters.
+test.  Digit convention, shared with the library's walks: 0 is a flat
+site, 1..s are open letters by color, s+1..2s are the matching close
+letters.
 """
 
 from itertools import product
@@ -37,6 +38,17 @@ def digits_form_walk(digits, s):
     """True when the string is a complete properly matched walk."""
     stack = scan_digits(digits, s)
     return stack is not None and not stack
+
+
+def is_valid_prefix(digits, s):
+    """True when the string never dips below zero and every close letter
+    meets an open letter of its own color."""
+    return scan_digits(digits, s) is not None
+
+
+def is_dyck(digits, s):
+    """True for a complete properly matched walk with no flat sites."""
+    return 0 not in digits and digits_form_walk(digits, s)
 
 
 def iter_matched_digit_strings(length, s, end_opens=0):
@@ -74,19 +86,6 @@ def iter_matched_digit_strings(length, s, end_opens=0):
                 stack.append(d - s)
 
     yield from rec(length)
-
-
-def digits_of_walk(walk, s):
-    """Digit form of a library walk, for cross-checks against the oracles."""
-    out = []
-    for step in walk:
-        if step.kind == "0":
-            out.append(0)
-        elif step.kind == "u":
-            out.append(step.color)
-        else:
-            out.append(s + step.color)
-    return tuple(out)
 
 
 def heights_of_digits(digits, s):

@@ -7,6 +7,7 @@ installed ``motzkinchain`` script too wherever one is on ``PATH``.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -147,6 +148,17 @@ def test_classes_periodic(capsys):
     assert f"{4 * 2 + 1} classes" in captured.err
 
 
+def test_classes_bytes_are_stable(capsys):
+    # recorded from the Step/Walk implementation the digit-tuple walks replaced
+    argv = ["classes", "--two-n", "6", "--s", "2", "--boundary", "periodic"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(out) == 15537 and out.count("\n") == 1749
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0691c493320499e0b77949435c07d26ec03fd7faf0f1e84221a878b4a671a19f"
+    )
+
+
 # ---------------------------------------------------------------------------
 # markov
 # ---------------------------------------------------------------------------
@@ -162,6 +174,24 @@ def test_markov_full_report(capsys):
     assert payload["L"] <= 6
     assert payload["certified"] is True
     assert payload["gap_bound"] <= payload["gap_true"] + 1e-12
+
+
+def test_markov_bytes_are_stable(capsys):
+    # recorded from the Step/Walk implementation the digit-tuple walks replaced
+    assert main(["markov", "--two-n", "6", "--s", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "{\n"
+        '  "L": 6,\n'
+        '  "certified": true,\n'
+        '  "dim": 51,\n'
+        '  "gap_bound": 0.0008650362318840494,\n'
+        '  "gap_true": 0.013313090743122369,\n'
+        '  "lambda2": 0.9866869092568776,\n'
+        '  "rho": 192.67015706806475,\n'
+        '  "s": 2,\n'
+        '  "two_n": 6\n'
+        "}\n"
+    )
 
 
 def test_markov_gap_only(capsys):

