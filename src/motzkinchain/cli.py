@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -126,8 +127,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
     except ValueError as exc:
         raise InvalidSpec(f"--grid expects lo:hi:count: {exc}") from None
-    if not (0.0 < lo < hi) or count < 2:
-        raise InvalidSpec("--grid needs 0 < lo < hi and count >= 2")
+    if not (0.0 < lo < hi < math.inf) or count < 2:
+        raise InvalidSpec("--grid needs finite 0 < lo < hi and count >= 2")
     return lo, hi, count
 
 
@@ -147,6 +148,15 @@ def _entropy_rows(n_values: list[int], s: int, mode: str) -> list[list]:
         asymptotic = entropy_asymptotic(n, s)
         rows.append([n, s, exact, asymptotic, exact / asymptotic])
     return rows
+
+
+def _density_rows(lo: float, hi: float, count: int) -> list[list]:
+    import numpy as np
+
+    from .excursion import excursion_density
+
+    grid = np.linspace(lo, hi, count)
+    return [[float(x), float(f)] for x, f in zip(grid, excursion_density()(grid))]
 
 
 def _cmd_entropy(args) -> int:
@@ -257,19 +267,12 @@ def _cmd_markov(args) -> int:
 
 
 def _cmd_excursion(args) -> int:
-    from .excursion import excursion_density, trial_energy_exact, twist_angle
+    from .excursion import trial_energy_exact, twist_angle
 
     if args.density == args.trial:
         raise InvalidSpec("pick exactly one of --density or --trial")
     if args.density:
-        import numpy as np
-
-        lo, hi, count = _parse_grid(args.grid)
-        density = excursion_density()
-        grid = np.linspace(lo, hi, count)
-        values = density(grid)
-        rows = [[float(x), float(f)] for x, f in zip(grid, values)]
-        _emit_table(args, ["x", "f_A"], rows)
+        _emit_table(args, ["x", "f_A"], _density_rows(*_parse_grid(args.grid)))
         return EXIT_OK
     theta = args.theta if args.theta is not None else twist_angle(args.two_n)
     overlap, energy = trial_energy_exact(args.two_n, args.s, theta)
@@ -319,14 +322,8 @@ def _cmd_reproduce(args) -> int:
         header = ["n", "ratio"]
         rows = [[row[0], row[4]] for row in _entropy_rows(FIGURE_GRID, 2, "auto")]
     else:
-        import numpy as np
-
-        from .excursion import excursion_density
-
         header = ["x", "f_A"]
-        density = excursion_density()
-        grid = np.linspace(0.01, 3.0, 300)
-        rows = [[float(x), float(f)] for x, f in zip(grid, density(grid))]
+        rows = _density_rows(0.01, 3.0, 300)
     _emit_table(args, header, rows, out=out_path)
     _note(f"wrote {out_path}", to_stdout=True)
     return EXIT_OK

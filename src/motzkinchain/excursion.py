@@ -180,10 +180,6 @@ def area_std() -> float:
 # ---------------------------------------------------------------------------
 
 
-def _panel_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
-    return leggauss(count)
-
-
 def integrate_density(
     density: ExcursionDensity,
     weight=None,
@@ -197,7 +193,7 @@ def integrate_density(
     Doubles the panel count until two successive refinements agree within
     ``tol``; the last change is the reported error estimate.
     """
-    nodes, gauss_w = _panel_nodes(16)
+    nodes, gauss_w = leggauss(16)
     panels = max(8, int(math.ceil((hi - lo) / max_panel_width)))
     previous = None
     for _ in range(8):
@@ -402,6 +398,8 @@ def trial_energy_exact(
     histogram.  Both are exact transfer sums; no strings are enumerated.
     """
     _check_trial_size(two_n, s)
+    if not math.isfinite(theta_tilde):
+        raise DomainError(f"the twist must be finite, got {theta_tilde}")
     total = motzkin_number(two_n, s)
     histogram = area_histogram(two_n, s)
     overlap = (

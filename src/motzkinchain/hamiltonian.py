@@ -55,8 +55,8 @@ class ChainSpec:
             raise InvalidSpec("color count s must be >= 1")
         if self.boundary not in BOUNDARIES:
             raise InvalidSpec(f"boundary must be one of {BOUNDARIES}")
-        if not (self.field_epsilon0 >= 0.0):
-            raise InvalidSpec("field_epsilon0 must be >= 0")
+        if not 0.0 <= self.field_epsilon0 < math.inf:
+            raise InvalidSpec("field_epsilon0 must be finite and >= 0")
 
     @property
     def d(self) -> int:
@@ -488,8 +488,8 @@ def gap_scan(
     ``slope`` is the fitted coefficient of ``ln(gap)`` against ``ln(n)`` with
     ``n = two_n / 2``; ``stderr`` is its standard error.
     """
-    if len(sizes) < 2:
-        raise InvalidSpec("gap scans need at least two sizes")
+    if len(set(sizes)) < 2:
+        raise InvalidSpec("gap scans need at least two distinct sizes")
     rows = []
     for two_n in sizes:
         spec = ChainSpec(two_n=two_n, s=s, boundary=boundary)

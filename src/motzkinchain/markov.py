@@ -2,13 +2,19 @@
 
 The chain Hamiltonian, projected onto uniform superpositions of all
 flat-step insertions of a Dyck path, becomes a small symmetric operator
-whose matrix elements close over the Dyck paths alone.  A similarity
+whose matrix elements close over the Dyck paths alone: it couples two
+paths only when one is the other with a peak removed.  A similarity
 transform with the square root of its ground-state weights turns that
 operator into a reversible stochastic matrix whose spectral gap equals
 the projected gap up to a known factor.  This module builds those
 objects, certifies the gap from below with canonical paths routed
 through a peak-removal tree, and assembles the one-dimensional hopping
 chain that governs the walk of an unmatched letter.
+
+The peak-removal relation is computed once per ``(n, s)``, as
+``DyckBasis.removals`` of the memoized :func:`dyck_basis`; the operator's
+off-diagonal entries, its peak counts and the edge load's parallel ways
+all read it, and the tree and the transition share that one basis.
 
 Levels, trees, and matchings here are indexed by the half length ``m``
 of a path (a path of length ``2m`` sits at level ``m``).  Paths are walks
@@ -53,8 +59,10 @@ class DyckBasis:
 
     Canonical order is by length first, then the canonical walk order,
     which keeps basis indices stable across runs.  ``level_of[i]`` is the
-    half length of ``paths[i]`` and ``peak_count[i]`` its number of peaks
-    (an up step immediately closed by its down step).
+    half length of ``paths[i]``.  ``removals`` is the peak-removal relation,
+    a sparse ``size x size`` integer matrix whose entry ``[u, t]`` counts the
+    peaks of ``paths[t]`` (an up step immediately closed by its down step)
+    whose removal leaves ``paths[u]``; ``peak_count`` is its column sums.
     """
 
     n: int
@@ -63,6 +71,7 @@ class DyckBasis:
     index: dict[tuple[int, ...], int]
     level_of: np.ndarray
     level_offsets: tuple[int, ...]
+    removals: sp.csr_matrix
     peak_count: np.ndarray
 
     @property
@@ -94,7 +103,12 @@ def remove_peak(walk: tuple[int, ...], i: int, s: int) -> tuple[int, ...]:
     return walk[:i] + walk[i + 2 :]
 
 
+@lru_cache(maxsize=None)
 def dyck_basis(n: int, s: int) -> DyckBasis:
+    """The basis of level ``n`` with ``s`` colors, built once per process.
+
+    Callers share the returned object, so its arrays are read-only.
+    """
     if n < 0 or s < 1:
         raise InvalidSpec("need n >= 0 and s >= 1")
     total = basis_size(n, s)
@@ -111,10 +125,17 @@ def dyck_basis(n: int, s: int) -> DyckBasis:
         paths.extend(level)
         offsets.append(len(paths))
     index = {p: i for i, p in enumerate(paths)}
-    level_of = np.empty(total, dtype=np.int64)
-    for m in range(n + 1):
-        level_of[offsets[m] : offsets[m + 1]] = m
-    peaks = np.array([len(peak_positions(p, s)) for p in paths], dtype=np.int64)
+    level_of = np.repeat(np.arange(n + 1, dtype=np.int64), np.diff(offsets))
+    pairs = [
+        (index[t[:i] + t[i + 2 :]], j) for j, t in enumerate(paths) for i in peak_positions(t, s)
+    ]
+    removals = sp.csr_matrix(
+        (np.ones(len(pairs), dtype=np.int64), np.array(pairs, dtype=np.int64).reshape(-1, 2).T),
+        shape=(total, total),
+    )
+    peak_count = np.asarray(removals.sum(axis=0)).ravel()
+    for array in (level_of, peak_count, removals.data, removals.indices, removals.indptr):
+        array.flags.writeable = False
     return DyckBasis(
         n=n,
         s=s,
@@ -122,24 +143,14 @@ def dyck_basis(n: int, s: int) -> DyckBasis:
         index=index,
         level_of=level_of,
         level_offsets=tuple(offsets),
-        peak_count=peaks,
+        removals=removals,
+        peak_count=peak_count,
     )
 
 
 # ---------------------------------------------------------------------------
 # Projected Hamiltonian and transition matrix
 # ---------------------------------------------------------------------------
-
-
-def _mult_table(basis: DyckBasis) -> dict[tuple[int, int], int]:
-    """How many distinct peak removals connect each (shorter, longer) pair."""
-    table: dict[tuple[int, int], int] = {}
-    for t_idx, walk in enumerate(basis.paths):
-        for i in peak_positions(walk, basis.s):
-            u_idx = basis.index[walk[:i] + walk[i + 2 :]]
-            key = (u_idx, t_idx)
-            table[key] = table.get(key, 0) + 1
-    return table
 
 
 def build_heff(two_n: int, s: int) -> tuple[DyckBasis, sp.csr_matrix]:
@@ -151,11 +162,11 @@ def build_heff(two_n: int, s: int) -> tuple[DyckBasis, sp.csr_matrix]:
 
     and the only off-diagonal entries couple paths related by one peak,
     with weight -(1/2) mult binom(2n-1, 2m+1) / sqrt(binom(2n,2m) binom(2n,2m+2))
-    where ``mult`` counts the distinct removals connecting the pair.  Both
-    follow from averaging the two-site pair projectors over all flat-step
-    placements: adjacent flat pairs contribute the first diagonal term,
-    adjacently placed peaks the second, and a peak adjacent to a flat pair
-    the off-diagonal one.
+    where ``m`` is the shorter path's level and ``mult`` the entry of
+    ``basis.removals`` connecting the pair.  Both follow from averaging the
+    two-site pair projectors over all flat-step placements: adjacent flat
+    pairs contribute the first diagonal term, adjacently placed peaks the
+    second, and a peak adjacent to a flat pair the off-diagonal one.
     """
     if two_n < 2 or two_n % 2:
         raise InvalidSpec("two_n must be even and >= 2")
@@ -166,31 +177,20 @@ def build_heff(two_n: int, s: int) -> tuple[DyckBasis, sp.csr_matrix]:
             f"operator dimension {total} exceeds the guard {OPERATOR_GUARD:.0e}"
         )
     basis = dyck_basis(n, s)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i in range(basis.size):
-        m = int(basis.level_of[i])
-        denom = binomial(two_n, 2 * m)
-        diag = (s / 2.0) * (two_n - 1) * binomial(two_n - 2, 2 * m) / denom
-        if m:
-            diag += 0.5 * basis.peak_count[i] * binomial(two_n - 1, 2 * m - 1) / denom
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag)
-    for (u_idx, t_idx), mult in _mult_table(basis).items():
-        m = int(basis.level_of[u_idx])
-        weight = (
-            -0.5
-            * mult
-            * binomial(two_n - 1, 2 * m + 1)
-            / math.sqrt(binomial(two_n, 2 * m) * binomial(two_n, 2 * m + 2))
-        )
-        rows.extend((u_idx, t_idx))
-        cols.extend((t_idx, u_idx))
-        vals.extend((weight, weight))
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(basis.size, basis.size))
-    return basis, matrix.tocsr()
+
+    def per_level(top: int, shift: int) -> np.ndarray:
+        return np.array([binomial(top, 2 * m + shift) for m in range(n + 1)], dtype=float)
+
+    lv = basis.level_of
+    denom = per_level(two_n, 0)[lv]
+    diag = (s / 2.0) * (two_n - 1) * per_level(two_n - 2, 0)[lv] / denom
+    diag += 0.5 * basis.peak_count * per_level(two_n - 1, -1)[lv] / denom
+    pairs = basis.removals.tocoo()
+    lu = lv[pairs.row]
+    norm = np.sqrt(per_level(two_n, 0) * per_level(two_n, 2))
+    weight = -0.5 * pairs.data * per_level(two_n - 1, 1)[lu] / norm[lu]
+    coupling = sp.coo_matrix((weight, (pairs.row, pairs.col)), shape=pairs.shape)
+    return basis, (sp.diags(diag) + coupling + coupling.T).tocsr()
 
 
 def ground_weights(basis: DyckBasis) -> np.ndarray:
@@ -202,11 +202,8 @@ def ground_weights(basis: DyckBasis) -> np.ndarray:
     """
     two_n = 2 * basis.n
     normalizer = motzkin_number(two_n, basis.s)
-    weights = np.array(
-        [binomial(two_n, 2 * int(m)) / normalizer for m in basis.level_of],
-        dtype=float,
-    )
-    return weights
+    per_level = [binomial(two_n, 2 * m) / normalizer for m in range(basis.n + 1)]
+    return np.array(per_level, dtype=float)[basis.level_of]
 
 
 @dataclass
@@ -447,6 +444,7 @@ class CanonicalTree:
 
 
 def build_canonical_tree(n: int, s: int) -> CanonicalTree:
+    """The tree over ``dyck_basis(n, s)``, the basis the transition uses."""
     basis = dyck_basis(n, s)
     parent = np.full(basis.size, -1, dtype=np.int64)
     parent_peak = np.full(basis.size, -1, dtype=np.int64)
@@ -474,51 +472,41 @@ def canonical_path_with_moves(
     """Route between two basis paths through tree ancestry, with per-edge
     bookkeeping.
 
-    Alternates between cutting the designated peak of the shrinking start
-    remnant and inserting the next peak of the growing goal prefix; the
-    longer endpoint moves first.  Consecutive states differ by exactly one
-    peak and the route has at most ``level(start) + level(goal)`` edges.
-    Each move is ``(a, b, peak)`` for the transition from state ``a`` to
-    state ``b``, where ``peak`` is the step index of the changed peak inside
-    the longer of the two states.
+    Every state is an ancestor of the start followed by an ancestor of the
+    goal.  The route merges the two ancestor chains, alternately cutting
+    the designated peak of the shrinking start remnant and inserting the
+    next peak of the growing goal prefix; the deeper endpoint moves first
+    (the start on a tie), and once one chain is used up the other finishes
+    alone.  Consecutive states differ by exactly one peak and the route has
+    ``level(start) + level(goal)`` edges.  Each move is ``(a, b, peak)`` for
+    the transition from state ``a`` to state ``b``, where ``peak`` is the
+    step index of the changed peak inside the longer of the two states.
     """
     basis = tree.basis
     if not 0 <= start < basis.size or not 0 <= goal < basis.size:
         raise InvalidSpec("endpoints must be basis indices")
     if start == goal:
         return [start], []
-    shrink_chain = [basis.paths[j] for j in tree.ancestors(start)]
-    grow_ancestry = tree.ancestors(goal)[::-1]
-    grow_chain = [basis.paths[j] for j in grow_ancestry]
-    grow_peaks = [int(tree.parent_peak[j]) for j in grow_ancestry]
-
-    remnant = shrink_chain[0]
-    shrink_pos = 0
-    grow_pos = 0
-    prefix = grow_chain[0]
-    current = remnant
+    shrink = tree.ancestors(start)
+    grow = tree.ancestors(goal)[::-1]
+    p, q = len(shrink) - 1, len(grow) - 1
+    if p >= q:
+        turns = [True, False] * q + [True] * (p - q)
+    else:
+        turns = [False, True] * p + [False] * (q - p)
+    cut = added = 0
     states = [start]
     moves: list[tuple[int, int, int]] = []
-    turn_shrink = basis.level_of[start] >= basis.level_of[goal]
-    while shrink_pos < len(shrink_chain) - 1 or grow_pos < len(grow_chain) - 1:
-        can_shrink = shrink_pos < len(shrink_chain) - 1
-        can_grow = grow_pos < len(grow_chain) - 1
-        do_shrink = can_shrink if turn_shrink else not can_grow
-        a_idx = states[-1]
+    for do_shrink in turns:
         if do_shrink:
-            peak = int(tree.parent_peak[basis.index[remnant]])
-            remnant = shrink_chain[shrink_pos + 1]
-            shrink_pos += 1
-            longer_peak = peak
+            peak = int(tree.parent_peak[shrink[cut]])
+            cut += 1
         else:
-            grow_pos += 1
-            prefix = grow_chain[grow_pos]
-            longer_peak = len(remnant) + grow_peaks[grow_pos]
-        current = remnant + prefix
-        b_idx = basis.index[current]
-        states.append(b_idx)
-        moves.append((a_idx, b_idx, longer_peak))
-        turn_shrink = not turn_shrink
+            added += 1
+            peak = len(basis.paths[shrink[cut]]) + int(tree.parent_peak[grow[added]])
+        state = basis.index[basis.paths[shrink[cut]] + basis.paths[grow[added]]]
+        moves.append((states[-1], state, peak))
+        states.append(state)
     return states, moves
 
 
@@ -552,7 +540,7 @@ def edge_load(tree: CanonicalTree, transition: TransitionMatrix) -> EdgeLoadResu
         raise SizeExceeded(
             f"{basis.size}**2 ordered pairs exceed the guard {PAIR_GUARD:.0e}"
         )
-    if transition.basis is not basis and transition.basis.paths != basis.paths:
+    if transition.basis is not basis:
         raise InvalidSpec("tree and transition use different bases")
     pi = transition.stationary
     loads: dict[tuple[int, int, int], float] = {}
@@ -566,23 +554,21 @@ def edge_load(tree: CanonicalTree, transition: TransitionMatrix) -> EdgeLoadResu
             weight = pi[a] * pi[b]
             for move in moves:
                 loads[move] = loads.get(move, 0.0) + weight
-    mult = _mult_table(basis)
-    rho = 0.0
-    argmax = (-1, -1, -1)
-    for (a, b, peak), load in loads.items():
-        ways = mult[(a, b) if basis.level_of[a] < basis.level_of[b] else (b, a)]
-        per_way = transition.matrix[a, b] / ways
-        value = load / (pi[a] * per_way)
-        if value > rho:
-            rho = value
-            argmax = (a, b, peak)
+    edges = list(loads)
+    a, b, _ = np.array(edges, dtype=np.int64).T
+    # the basis is ordered by length, so the shorter path has the smaller index
+    ways = np.asarray(basis.removals[np.minimum(a, b), np.maximum(a, b)]).ravel()
+    values = np.fromiter(loads.values(), dtype=float, count=len(edges))
+    values /= pi[a] * (transition.matrix[a, b] / ways)
+    best = int(np.argmax(values))
+    rho = float(values[best])
     lambda2 = transition.second_eigenvalue()
     gap_true = 1.0 - lambda2
     gap_bound = 1.0 / (rho * longest) if rho > 0 and longest else math.inf
     return EdgeLoadResult(
         dim=basis.size,
         rho=rho,
-        max_edge=argmax,
+        max_edge=edges[best],
         path_length_max=longest,
         gap_bound=gap_bound,
         lambda2=lambda2,

@@ -217,6 +217,25 @@ def test_markov_solves_for_lambda2_once(capsys, monkeypatch, report):
     assert calls == [9]
 
 
+def test_markov_builds_the_dyck_basis_once(capsys, monkeypatch):
+    from motzkinchain import markov
+
+    markov.dyck_basis.cache_clear()
+    levels = []
+    original = markov.enumerate_walks
+
+    def counted(length, s, kind):
+        if kind == "dyck" and s == 2:
+            levels.append(length)
+        return original(length, s, kind)
+
+    monkeypatch.setattr(markov, "enumerate_walks", counted)
+    assert main(["markov", "--two-n", "6", "--s", "2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["certified"] is True
+    # one basis: each of the levels 0..3 enumerated once
+    assert levels == [0, 2, 4, 6]
+
+
 def test_markov_rejects_unknown_report(capsys):
     assert main(["markov", "--two-n", "6", "--s", "1", "--report", "bogus"]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error:")
@@ -317,6 +336,23 @@ def test_validation_failures_exit_two(capsys):
     assert main(["spectrum", "--two-n", "3", "--s", "1"]) == EXIT_VALIDATION
     capsys.readouterr()
     assert main(["spectrum", "--two-n", "40", "--s", "3"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--two-n", "4", "--s", "1", "--eps0", "inf"],
+        ["excursion", "--trial", "--two-n", "8", "--theta", "inf"],
+        ["excursion", "--trial", "--two-n", "8", "--theta", "nan"],
+        ["excursion", "--density", "--grid", "0.5:inf:3"],
+        ["gap", "--s", "1", "--sizes", "4,4"],
+    ],
+)
+def test_non_finite_or_degenerate_input_exits_two(capsys, argv):
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_thread_flag_sets_environment(capsys, monkeypatch):

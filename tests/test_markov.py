@@ -7,6 +7,7 @@ certificate is recomputed at frozen reference sizes.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -38,7 +39,8 @@ from motzkinchain.walks import catalan_number, decode_walk, motzkin_number
 
 
 # ---------------------------------------------------------------------------
-# Oracles: path surgery, the chain embedding and routes by state only
+# Oracles: path surgery, the chain embedding, the peak-removal relation and
+# routes rebuilt path by path
 # ---------------------------------------------------------------------------
 
 
@@ -83,6 +85,57 @@ def canonical_path(tree, start, goal):
     return states
 
 
+def peak_removal_oracle(basis):
+    """How many distinct peak removals connect each (shorter, longer) pair."""
+    table = {}
+    for t_idx, walk in enumerate(basis.paths):
+        for i in peak_positions(walk, basis.s):
+            u_idx = basis.index[walk[:i] + walk[i + 2 :]]
+            key = (u_idx, t_idx)
+            table[key] = table.get(key, 0) + 1
+    return table
+
+
+def route_oracle(tree, start, goal):
+    """The canonical route walked state by state on the path strings.
+
+    Alternates between cutting the designated peak of the shrinking start
+    remnant and inserting the next peak of the growing goal prefix, the
+    longer endpoint first, and looks every state up by its string.
+    """
+    basis = tree.basis
+    if start == goal:
+        return [start], []
+    shrink_chain = [basis.paths[j] for j in tree.ancestors(start)]
+    grow_ancestry = tree.ancestors(goal)[::-1]
+    grow_chain = [basis.paths[j] for j in grow_ancestry]
+    grow_peaks = [int(tree.parent_peak[j]) for j in grow_ancestry]
+    remnant = shrink_chain[0]
+    shrink_pos = grow_pos = 0
+    prefix = grow_chain[0]
+    states = [start]
+    moves = []
+    turn_shrink = basis.level_of[start] >= basis.level_of[goal]
+    while shrink_pos < len(shrink_chain) - 1 or grow_pos < len(grow_chain) - 1:
+        can_shrink = shrink_pos < len(shrink_chain) - 1
+        can_grow = grow_pos < len(grow_chain) - 1
+        do_shrink = can_shrink if turn_shrink else not can_grow
+        a_idx = states[-1]
+        if do_shrink:
+            longer_peak = int(tree.parent_peak[basis.index[remnant]])
+            shrink_pos += 1
+            remnant = shrink_chain[shrink_pos]
+        else:
+            grow_pos += 1
+            prefix = grow_chain[grow_pos]
+            longer_peak = len(remnant) + grow_peaks[grow_pos]
+        b_idx = basis.index[remnant + prefix]
+        states.append(b_idx)
+        moves.append((a_idx, b_idx, longer_peak))
+        turn_shrink = not turn_shrink
+    return states, moves
+
+
 # ---------------------------------------------------------------------------
 # Basis
 # ---------------------------------------------------------------------------
@@ -106,6 +159,27 @@ def test_dyck_basis_layout():
     for i, p in enumerate(basis.paths):
         assert basis.index[p] == i
         assert basis.peak_count[i] == len(peak_positions(p, 2))
+
+
+@pytest.mark.parametrize(("n", "s"), [(0, 1), (1, 2), (3, 1), (3, 2), (3, 3), (5, 1)])
+def test_removals_match_peak_removal_oracle(n, s):
+    basis = dyck_basis(n, s)
+    removals = basis.removals
+    assert removals.shape == (basis.size, basis.size)
+    assert np.issubdtype(removals.dtype, np.integer)
+    got = {key: int(count) for key, count in removals.todok().items()}
+    assert got == peak_removal_oracle(basis)
+    np.testing.assert_array_equal(basis.peak_count, np.asarray(removals.sum(axis=0)).ravel())
+
+
+def test_dyck_basis_is_built_once_and_read_only():
+    basis = dyck_basis(3, 2)
+    assert dyck_basis(3, 2) is basis
+    assert build_transition(6, 2).basis is build_canonical_tree(3, 2).basis is basis
+    assert build_heff(6, 2)[0] is basis
+    for array in (basis.level_of, basis.peak_count, basis.removals.data):
+        with pytest.raises(ValueError):
+            array[0] = 7
 
 
 def test_dyck_basis_guard_and_validation():
@@ -371,6 +445,14 @@ def test_routes_move_one_peak_at_a_time():
                 assert remove_peak(longer, peak, s) == shorter
 
 
+@pytest.mark.parametrize(("n", "s"), [(3, 1), (4, 2), (3, 3), (5, 1)])
+def test_routes_match_state_by_state_oracle(n, s):
+    tree = build_canonical_tree(n, s)
+    for a in range(tree.basis.size):
+        for b in range(tree.basis.size):
+            assert canonical_path_with_moves(tree, a, b) == route_oracle(tree, a, b)
+
+
 def test_longer_endpoint_moves_first():
     tree = build_canonical_tree(4, 2)
     basis = tree.basis
@@ -420,6 +502,18 @@ def test_edge_load_rejects_mismatched_inputs():
     t = build_transition(6, 1)
     with pytest.raises(InvalidSpec):
         edge_load(tree, t)
+
+
+def test_edge_load_requires_the_shared_basis():
+    # an equal copy of the basis is a different basis: the tree and the
+    # transition must read one peak-removal relation
+    t = build_transition(4, 1)
+    tree = build_canonical_tree(2, 1)
+    copy = replace(tree, basis=replace(tree.basis))
+    assert copy.basis.paths == t.basis.paths
+    with pytest.raises(InvalidSpec):
+        edge_load(copy, t)
+    assert edge_load(tree, t).certified()
 
 
 # ---------------------------------------------------------------------------
