@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 from .errors import InvalidSpec, MotzkinChainError
 
@@ -70,12 +71,27 @@ def _render_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=_scalarize) + "\n"
 
 
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write text unchanged (no newline translation) via a temp file in the
+    target directory and an atomic rename; the temp file is removed on
+    failure."""
+    path = os.fspath(path)
+    directory = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    from .walks import write_text_atomic
-
     write_text_atomic(path, text)
 
 

@@ -91,13 +91,15 @@ def airy_zeros(count: int = DEFAULT_ZERO_COUNT) -> np.ndarray:
 class ExcursionDensity:
     """Area density of the standard Brownian excursion.
 
-    ``truncation_tol`` stops the zero series once a term falls below that
-    fraction of the running sum; ``last_truncation_error`` records the
-    size of the first omitted term from the most recent evaluation.
+    The zero series stops once a term falls below ``SERIES_TOL`` times the
+    running sum; ``last_truncation_error`` records the size of the first
+    omitted term from the most recent evaluation.  A point whose terms are
+    all zero (the far left tail) has density 0; a point whose series never
+    meets the tolerance over the available zeros, or whose terms are not
+    finite, raises :class:`NoConvergence`.
     """
 
     zeros: np.ndarray
-    truncation_tol: float = SERIES_TOL
     last_truncation_error: float = 0.0
 
     def __call__(self, x):
@@ -105,16 +107,25 @@ class ExcursionDensity:
         values = np.atleast_1d(np.asarray(x, dtype=float))
         if (values <= 0).any():
             raise DomainError("the excursion area density lives on x > 0")
-        v = 2.0 * np.abs(self.zeros[None, :]) ** 3 / (27.0 * values[:, None] ** 2)
-        terms = v ** (2.0 / 3.0) * np.exp(-v) * hyperu(-5.0 / 6.0, 4.0 / 3.0, v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = 2.0 * np.abs(self.zeros[None, :]) ** 3 / (27.0 * values[:, None] ** 2)
+            terms = v ** (2.0 / 3.0) * np.exp(-v) * hyperu(-5.0 / 6.0, 4.0 / 3.0, v)
         running = np.cumsum(terms, axis=1)
         count = terms.shape[1]
-        small = np.abs(terms) < self.truncation_tol * np.abs(running)
+        # "<=" so that a zero term stops the series even where the tolerance
+        # times a subnormal running sum underflows to zero
+        small = np.abs(terms) <= SERIES_TOL * np.abs(running)
         stop = np.where(small.any(axis=1), small.argmax(axis=1), count)
+        failed = (stop == count) | ~np.isfinite(terms).all(axis=1)
+        if failed.any():
+            bad = int(failed.argmax())
+            raise NoConvergence(
+                f"excursion density series did not converge at x = {values[bad]:.17g}",
+                float(abs(terms[bad, -1])),
+            )
         rows = np.arange(len(values))
         summed = running[rows, np.maximum(stop, 1) - 1]
-        dropped = np.where(stop < count, np.abs(terms[rows, np.minimum(stop, count - 1)]), 0.0)
-        self.last_truncation_error = float(dropped.max(initial=0.0))
+        self.last_truncation_error = float(np.abs(terms[rows, stop]).max(initial=0.0))
         out = 2.0 * math.sqrt(6.0) / values**2 * summed
         return float(out[0]) if scalar else out
 

@@ -55,8 +55,8 @@ class ChainSpec:
             raise InvalidSpec("color count s must be >= 1")
         if self.boundary not in BOUNDARIES:
             raise InvalidSpec(f"boundary must be one of {BOUNDARIES}")
-        if not 0.0 <= self.field_epsilon0 < math.inf:
-            raise InvalidSpec("field_epsilon0 must be finite and >= 0")
+        if not 0.0 <= self.field_epsilon0 < 1.0:
+            raise InvalidSpec("field_epsilon0 must lie in [0, 1)")
 
     @property
     def d(self) -> int:
@@ -389,10 +389,9 @@ def _lanczos(block: sp.csr_matrix, k: int, v0: np.ndarray, threshold: float):
 
 
 def lowest_spectrum(
-    op: SparseOperator | sp.spmatrix,
+    op: SparseOperator | sp.spmatrix | np.ndarray,
     k: int = 2,
     seed: int = DEFAULT_SEED,
-    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> SpectrumResult:
     """The ``k`` smallest eigenvalues with certified residuals.
 
@@ -463,7 +462,7 @@ def lowest_spectrum(
     return SpectrumResult(
         eigenvalues=values,
         residuals=residuals,
-        ground_degeneracy=int(np.sum(values <= values[0] + degeneracy_tol)),
+        ground_degeneracy=int(np.sum(values <= values[0] + DEGENERACY_TOL)),
         norm_bound=norm,
         method=f"lanczos(ncv={ncv_max})" if ncv_max else "dense",
         vectors=vectors,

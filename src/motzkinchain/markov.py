@@ -6,10 +6,13 @@ whose matrix elements close over the Dyck paths alone: it couples two
 paths only when one is the other with a peak removed.  A similarity
 transform with the square root of its ground-state weights turns that
 operator into a reversible stochastic matrix whose spectral gap equals
-the projected gap up to a known factor.  This module builds those
-objects, certifies the gap from below with canonical paths routed
-through a peak-removal tree, and assembles the one-dimensional hopping
-chain that governs the walk of an unmatched letter.
+the projected gap up to a known factor.  The matrix is stored sparse on
+the operator's pattern, and its second eigenvalue is read off the
+operator's certified spectrum (:func:`motzkinchain.hamiltonian.lowest_spectrum`,
+the one eigensolver of the package).  This module builds those objects,
+certifies the gap from below with canonical paths routed through a
+peak-removal tree, and assembles the one-dimensional hopping chain that
+governs the walk of an unmatched letter.
 
 The peak-removal relation is computed once per ``(n, s)``, as
 ``DyckBasis.removals`` of the memoized :func:`dyck_basis`; the operator's
@@ -39,10 +42,10 @@ from .errors import (
     NegativeEntry,
     SizeExceeded,
 )
+from .hamiltonian import lowest_spectrum
 from .walks import binomial, catalan_number, encode_walk, enumerate_walks, motzkin_number
 
 BASIS_GUARD = 2 * 10**5
-OPERATOR_GUARD = 10**5
 PAIR_GUARD = 10**8
 
 STOCHASTIC_TOL = 1e-12
@@ -171,11 +174,6 @@ def build_heff(two_n: int, s: int) -> tuple[DyckBasis, sp.csr_matrix]:
     if two_n < 2 or two_n % 2:
         raise InvalidSpec("two_n must be even and >= 2")
     n = two_n // 2
-    total = basis_size(n, s)
-    if total > OPERATOR_GUARD:
-        raise SizeExceeded(
-            f"operator dimension {total} exceeds the guard {OPERATOR_GUARD:.0e}"
-        )
     basis = dyck_basis(n, s)
 
     def per_level(top: int, shift: int) -> np.ndarray:
@@ -208,49 +206,58 @@ def ground_weights(basis: DyckBasis) -> np.ndarray:
 
 @dataclass
 class TransitionMatrix:
-    """Reversible stochastic matrix over a Dyck basis."""
+    """Reversible stochastic matrix over a Dyck basis, stored sparse on the
+    pattern of the projected operator ``heff`` it was built from."""
 
     basis: DyckBasis
-    matrix: np.ndarray
+    heff: sp.csr_matrix
+    matrix: sp.csr_array
     stationary: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def validate(self, tol: float = STOCHASTIC_TOL) -> None:
+    def validate(self) -> None:
         row_defect = np.abs(self.matrix.sum(axis=1) - 1.0).max()
-        if row_defect > tol:
+        if row_defect > STOCHASTIC_TOL:
             raise NegativeEntry(f"row sums deviate from 1 by {row_defect:.3e}")
         flow = self.stationary[:, None] * self.matrix
         balance = np.abs(flow - flow.T).max()
-        if balance > tol:
+        if balance > STOCHASTIC_TOL:
             raise NegativeEntry(f"detailed balance violated by {balance:.3e}")
 
     def second_eigenvalue(self) -> float:
-        values = np.sort(np.linalg.eigvals(self.matrix).real)
-        return float(values[-2])
+        """``1 - mu_2 / (s(2n-1))`` with ``mu_2`` the certified second-lowest
+        eigenvalue of ``heff``, to which the walk is similar."""
+        mu = lowest_spectrum(self.heff, k=2).eigenvalues
+        return float(1.0 - mu[1] / (self.basis.s * (2 * self.basis.n - 1)))
 
 
 def build_transition(two_n: int, s: int) -> TransitionMatrix:
     """Stochastic walk whose generator is the projected interaction.
 
     ``P = I - H_eff, conjugated by sqrt of the stationary weights, over
-    s(2n-1)``.  Entries of the result are nonnegative for this
-    construction; any negative entry signals a construction bug and
-    raises :class:`NegativeEntry`.
+    s(2n-1)``, stored on ``H_eff``'s pattern (its diagonal is positive, so
+    every diagonal entry is stored).  Entries of the result are
+    nonnegative for this construction; any negative entry signals a
+    construction bug and raises :class:`NegativeEntry`.
     """
     basis, heff = build_heff(two_n, s)
     pi = ground_weights(basis)
     scale = 1.0 / (s * (two_n - 1))
     sqrt_pi = np.sqrt(pi)
-    dense = heff.toarray()
-    matrix = np.eye(basis.size) - scale * (dense / sqrt_pi[:, None]) * sqrt_pi[None, :]
-    negative = matrix.min()
+    entries = heff.tocoo()
+    row, col = entries.row, entries.col
+    # grouped as the dense I - scale * (H / sqrt_pi) * sqrt_pi, whose
+    # entries the tests compare bit for bit
+    data = (row == col) - scale * (entries.data / sqrt_pi[row]) * sqrt_pi[col]
+    negative = data.min()
     if negative < -STOCHASTIC_TOL:
         raise NegativeEntry(f"transition entry {negative:.3e} below zero")
-    np.clip(matrix, 0.0, None, out=matrix)
-    result = TransitionMatrix(basis=basis, matrix=matrix, stationary=pi)
+    np.clip(data, 0.0, None, out=data)
+    matrix = sp.csr_array((data, (row, col)), shape=heff.shape)
+    result = TransitionMatrix(basis=basis, heff=heff, matrix=matrix, stationary=pi)
     result.validate()
     return result
 
@@ -613,8 +620,9 @@ class UnbalancedChain:
 
     ``matrix`` is the full operator including the left-edge penalty;
     ``hopping`` is the penalty-free sum of rank-one hopping terms, which
-    annihilates ``ground``.  ``rate_up[j]`` and ``rate_down[j]`` are the
-    walk rates off site ``j+1`` (0-based storage of 1-based sites).
+    annihilates ``ground``.  ``alpha_sq[j]`` and ``beta_sq[j]`` are the
+    walk rates up and down off site ``j+1`` (0-based storage of 1-based
+    sites).
     """
 
     two_n: int
@@ -626,14 +634,6 @@ class UnbalancedChain:
     beta_sq: np.ndarray
     lambda1: float
     pi_first: float
-
-    @property
-    def rate_up(self) -> np.ndarray:
-        return self.alpha_sq
-
-    @property
-    def rate_down(self) -> np.ndarray:
-        return self.beta_sq
 
 
 def build_unbalanced_chain(two_n: int, s: int) -> UnbalancedChain:
@@ -673,7 +673,7 @@ def build_unbalanced_chain(two_n: int, s: int) -> UnbalancedChain:
         ]
     )
     ground /= np.linalg.norm(ground)
-    lambda1 = float(np.linalg.eigvalsh(matrix)[0])
+    lambda1 = lowest_spectrum(matrix, k=1).lambda1
     return UnbalancedChain(
         two_n=two_n,
         s=s,

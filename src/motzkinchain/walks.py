@@ -24,12 +24,8 @@ external-field modules.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -453,39 +449,3 @@ class CountTable:
         if self.halfwalk is None:
             raise InvalidSpec("exact Schmidt probabilities need an exact table")
         return Fraction(self.halfwalk[m] ** 2, self.total)
-
-    def to_csv(self, path: str | os.PathLike) -> None:
-        """Write rows ``n,m,s,count_log_e,count_exact_or_empty`` atomically."""
-        rows = []
-        for m in range(self.n + 1):
-            exact = str(self.halfwalk[m]) if self.halfwalk is not None else ""
-            rows.append([self.n, m, self.s, f"{self.log_halfwalk[m]:.17g}", exact])
-        write_csv_atomic(path, ["n", "m", "s", "count_log_e", "count_exact_or_empty"], rows)
-
-
-def write_text_atomic(path: str | os.PathLike, text: str) -> None:
-    """Write text unchanged (no newline translation) via a temp file in the
-    target directory and an atomic rename; the temp file is removed on
-    failure."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_csv_atomic(
-    path: str | os.PathLike, header: Sequence[str], rows: Sequence[Sequence]
-) -> None:
-    """Write a CSV with LF line endings via a temp file and atomic rename."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_text_atomic(path, buffer.getvalue())

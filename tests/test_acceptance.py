@@ -327,7 +327,7 @@ def test_criterion_07_dyck_walk_certificates():
             )
             _check(
                 failures,
-                float(np.diag(t.matrix).min()) >= 0.5 - 1e-12,
+                float(t.matrix.diagonal().min()) >= 0.5 - 1e-12,
                 f"2n={two_n} s={s}: holding probability below 1/2",
             )
             _, heff = build_heff(two_n, s)

@@ -21,7 +21,14 @@ from pathlib import Path
 import pytest
 
 import motzkinchain
-from motzkinchain.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, FIGURE_TAGS, main
+from motzkinchain.cli import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    FIGURE_TAGS,
+    main,
+    write_text_atomic,
+)
 from motzkinchain.excursion import excursion_density, trial_energy_exact, twist_angle
 from motzkinchain.schmidt import entropy_asymptotic, entropy_exact
 
@@ -71,6 +78,15 @@ def test_entropy_out_file(tmp_path, capsys):
     assert text.endswith("\n")
     assert _rows(text)[0][0] == "n"
     assert [p.name for p in tmp_path.iterdir()] == ["entropy.csv"]
+
+
+def test_write_text_atomic_overwrites_in_place(tmp_path):
+    path = tmp_path / "table.csv"
+    write_text_atomic(path, "a,b\n1,2\n")
+    write_text_atomic(path, "a,b\n3,4\n")
+    text = path.read_text()
+    assert text == "a,b\n3,4\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +193,9 @@ def test_markov_full_report(capsys):
 
 
 def test_markov_bytes_are_stable(capsys):
-    # recorded from the Step/Walk implementation the digit-tuple walks replaced
+    # recorded from the Step/Walk implementation the digit-tuple walks
+    # replaced; lambda2 and gap_true re-recorded from the certified H_eff
+    # eigensolve, which matches the 40-digit lambda2 0.98668690925687632156
     assert main(["markov", "--two-n", "6", "--s", "2"]) == EXIT_OK
     assert capsys.readouterr().out == (
         "{\n"
@@ -185,13 +203,34 @@ def test_markov_bytes_are_stable(capsys):
         '  "certified": true,\n'
         '  "dim": 51,\n'
         '  "gap_bound": 0.0008650362318840494,\n'
-        '  "gap_true": 0.013313090743122369,\n'
-        '  "lambda2": 0.9866869092568776,\n'
+        '  "gap_true": 0.013313090743123701,\n'
+        '  "lambda2": 0.9866869092568763,\n'
         '  "rho": 192.67015706806475,\n'
         '  "s": 2,\n'
         '  "two_n": 6\n'
         "}\n"
     )
+
+
+def _run_fresh(*argv):
+    """Run the CLI in a fresh interpreter, so ``--threads`` takes effect."""
+    package_root = str(Path(motzkinchain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "motzkinchain.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+
+
+def test_markov_bytes_do_not_depend_on_thread_count():
+    argv = ["markov", "--two-n", "10", "--s", "2", "--report", "gap"]
+    one, two = (_run_fresh("--threads", threads, *argv) for threads in ("1", "2"))
+    assert one.returncode == two.returncode == EXIT_OK, one.stderr + two.stderr
+    assert one.stdout == two.stdout
 
 
 def test_markov_gap_only(capsys):
@@ -275,6 +314,14 @@ def test_excursion_requires_exactly_one_mode(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("grid", ["1:100:3", "1:1e200:3"])
+def test_excursion_density_beyond_the_series_exits_three(capsys, grid):
+    assert main(["excursion", "--density", "--grid", grid]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_excursion_bad_grid(capsys):
     assert main(["excursion", "--density", "--grid", "3:1:10"]) == EXIT_VALIDATION
     assert "grid" in capsys.readouterr().err
@@ -342,6 +389,7 @@ def test_validation_failures_exit_two(capsys):
     "argv",
     [
         ["spectrum", "--two-n", "4", "--s", "1", "--eps0", "inf"],
+        ["spectrum", "--two-n", "4", "--s", "1", "--eps0", "1e308"],
         ["excursion", "--trial", "--two-n", "8", "--theta", "inf"],
         ["excursion", "--trial", "--two-n", "8", "--theta", "nan"],
         ["excursion", "--density", "--grid", "0.5:inf:3"],

@@ -17,6 +17,7 @@ from conftest import digits_form_walk, heights_of_digits, iter_matched_digit_str
 from motzkinchain.errors import (
     DomainError,
     InvalidSpec,
+    NoConvergence,
     OverlapTooLarge,
     SizeExceeded,
 )
@@ -71,6 +72,18 @@ def test_density_rejects_nonpositive_points():
         d(0.0)
     with pytest.raises(DomainError):
         d(np.array([0.5, -1.0]))
+
+
+def test_density_fails_where_the_series_does_not_converge():
+    d = excursion_density()
+    # the all-zero far left tail is an exact zero, not a failure
+    assert d(0.01) == 0.0
+    assert d.last_truncation_error == 0.0
+    for x in (50.5, 100.0, 1e200):
+        with pytest.raises(NoConvergence):
+            d(x)
+    with pytest.raises(NoConvergence):
+        d(np.array([1.0, 100.0]))
 
 
 def test_density_scalar_and_vector_agree():

@@ -189,6 +189,14 @@ def test_chain_spec_validation():
         ChainSpec(two_n=4, s=1, field_epsilon0=-0.1)
 
 
+@pytest.mark.parametrize("eps0", [1.0, 1e308, math.inf, math.nan])
+def test_chain_spec_field_lies_in_unit_interval(eps0):
+    # the range field_energies enforces; a huge field overflowed the diagonal
+    with pytest.raises(InvalidSpec):
+        ChainSpec(two_n=4, s=1, field_epsilon0=eps0)
+    assert ChainSpec(two_n=4, s=1, field_epsilon0=0.999).field_epsilon0 == 0.999
+
+
 def test_dimension_guard():
     with pytest.raises(SizeExceeded):
         ChainSpec(two_n=40, s=3).check_size()

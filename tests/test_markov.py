@@ -79,6 +79,22 @@ def heff_kernel_vector(basis):
     return np.sqrt(ground_weights(basis))
 
 
+def dense_transition(two_n, s):
+    """The walk built as a dense array, entry by entry as the sparse one."""
+    basis, heff = build_heff(two_n, s)
+    pi = ground_weights(basis)
+    scale = 1.0 / (s * (two_n - 1))
+    sqrt_pi = np.sqrt(pi)
+    matrix = np.eye(basis.size) - scale * (heff.toarray() / sqrt_pi[:, None]) * sqrt_pi[None, :]
+    np.clip(matrix, 0.0, None, out=matrix)
+    return matrix
+
+
+def dense_second_eigenvalue(transition):
+    """Second largest real part among all eigenvalues of the dense walk."""
+    return float(np.sort(np.linalg.eigvals(transition.matrix.toarray()).real)[-2])
+
+
 def canonical_path(tree, start, goal):
     """The states of the canonical route, without the move bookkeeping."""
     states, _ = canonical_path_with_moves(tree, start, goal)
@@ -287,7 +303,7 @@ def test_ground_weights_are_level_binomials():
 @pytest.mark.parametrize(("two_n", "s"), [(4, 1), (6, 1), (6, 2), (8, 2)])
 def test_transition_is_stochastic_and_reversible(two_n, s):
     t = build_transition(two_n, s)
-    t.validate(tol=1e-12)
+    t.validate()
     assert t.matrix.min() >= 0.0
     np.testing.assert_allclose(t.matrix.sum(axis=1), 1.0, atol=1e-12)
     flow = t.stationary[:, None] * t.matrix
@@ -298,7 +314,7 @@ def test_transition_is_stochastic_and_reversible(two_n, s):
 @pytest.mark.parametrize(("two_n", "s"), [(4, 1), (6, 1), (8, 1), (6, 2), (8, 2)])
 def test_holding_probability_at_least_half(two_n, s):
     t = build_transition(two_n, s)
-    assert np.diag(t.matrix).min() >= 0.5 - 1e-12
+    assert t.matrix.diagonal().min() >= 0.5 - 1e-12
 
 
 def test_offdiagonal_support_is_single_peak_surgery():
@@ -346,6 +362,49 @@ def test_walk_gap_identity(two_n, s):
     values = np.linalg.eigvalsh(heff.toarray())
     t = build_transition(two_n, s)
     assert values[1] == pytest.approx(s * (two_n - 1) * (1.0 - t.second_eigenvalue()), abs=1e-10)
+
+
+# one to four colors, 2 to 275 paths
+TRANSITION_SIZES = [
+    (2, 1), (4, 1), (6, 1), (8, 1), (10, 1), (12, 1), (4, 2), (6, 2), (8, 2), (6, 3), (4, 4)
+]
+
+
+@pytest.mark.parametrize(("two_n", "s"), TRANSITION_SIZES)
+def test_sparse_transition_equals_dense_construction(two_n, s):
+    t = build_transition(two_n, s)
+    assert t.matrix.nnz == t.heff.nnz
+    assert np.array_equal(t.matrix.toarray(), dense_transition(two_n, s))
+
+
+# every size with at most 2,100 paths, for one to four colors
+ORACLE_SIZES = [
+    (two_n, s)
+    for s in (1, 2, 3, 4)
+    for two_n in range(2, 18, 2)
+    if basis_size(two_n // 2, s) <= 2100
+]
+
+
+@pytest.mark.parametrize(("two_n", "s"), ORACLE_SIZES)
+def test_second_eigenvalue_matches_dense_eigvals(two_n, s):
+    t = build_transition(two_n, s)
+    assert abs(t.second_eigenvalue() - dense_second_eigenvalue(t)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    ("two_n", "s", "reference"),
+    [
+        # lambda2 of the dense walk in 40-digit arithmetic, to 20 digits
+        (6, 2, "0.98668690925687632156"),
+        (10, 1, "0.97706571000687440077"),
+        (4, 4, "0.98149931213317630541"),
+        (8, 1, "0.96092241857756352095"),
+    ],
+)
+def test_second_eigenvalue_matches_high_precision_reference(two_n, s, reference):
+    error = Fraction(build_transition(two_n, s).second_eigenvalue()) - Fraction(reference)
+    assert abs(error) <= 2.3e-16
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +603,10 @@ def test_unbalanced_chain_ground_state_and_rates():
     chain = build_unbalanced_chain(10, 1)
     assert np.abs(chain.hopping @ chain.ground).max() < 1e-12
     assert np.linalg.norm(chain.ground) == pytest.approx(1.0, rel=1e-14)
-    assert chain.rate_up.min() >= 1.0 / 6.0
-    assert chain.rate_up.max() <= 0.5
-    assert chain.rate_down.min() >= 1.0 / 6.0
-    assert chain.rate_down.max() <= 0.5
+    assert chain.alpha_sq.min() >= 1.0 / 6.0
+    assert chain.alpha_sq.max() <= 0.5
+    assert chain.beta_sq.min() >= 1.0 / 6.0
+    assert chain.beta_sq.max() <= 0.5
     assert chain.pi_first == pytest.approx(chain.ground[0] ** 2, rel=1e-14)
     assert (chain.matrix - chain.hopping)[0, 0] == pytest.approx(1.0)
 

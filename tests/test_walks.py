@@ -5,7 +5,6 @@ re-derive every count with plain stack scans, or from closed forms
 checked independently (math.comb, explicit DP recurrences).
 """
 
-import csv
 import hashlib
 import math
 import tracemalloc
@@ -40,7 +39,6 @@ from motzkinchain.walks import (
     halfwalk_table,
     log_colored_halfwalk_count,
     motzkin_number,
-    write_csv_atomic,
 )
 
 
@@ -543,21 +541,3 @@ def test_count_table_guards():
         CountTable.build(4, 0)
 
 
-def test_count_table_csv_round_trip(tmp_path):
-    table = CountTable.build(3, 2)
-    path = tmp_path / "counts.csv"
-    table.to_csv(path)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["n", "m", "s", "count_log_e", "count_exact_or_empty"]
-    assert len(rows) == 5
-    assert [int(r[4]) for r in rows[1:]] == table.halfwalk
-
-
-def test_write_csv_atomic_overwrites_in_place(tmp_path):
-    path = tmp_path / "table.csv"
-    write_csv_atomic(path, ["a", "b"], [[1, 2]])
-    write_csv_atomic(path, ["a", "b"], [[3, 4]])
-    text = path.read_text()
-    assert text == "a,b\n3,4\n"
-    assert list(tmp_path.iterdir()) == [path]
