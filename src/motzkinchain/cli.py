@@ -258,11 +258,12 @@ def _cmd_markov(args) -> int:
             raise InvalidSpec(f"unknown report part {piece!r}")
     if not parts:
         raise InvalidSpec("--report must name gap and/or edge-load")
+    # the tree checks the pair guard before any basis is built
+    tree = build_canonical_tree(args.two_n // 2, args.s) if "edge-load" in parts else None
     transition = build_transition(args.two_n, args.s)
     payload = {"two_n": args.two_n, "s": args.s, "dim": transition.dim}
-    if "edge-load" in parts:
+    if tree is not None:
         # edge_load computes lambda2 itself; the gap part reuses it
-        tree = build_canonical_tree(args.two_n // 2, args.s)
         load = edge_load(tree, transition)
         payload.update(
             {
@@ -499,6 +500,9 @@ def main(argv: list[str] | None = None) -> int:
             args.format = args.format_default
         if args.command == "excursion" and args.format is None:
             args.format = "csv" if args.density else "json"
+        # color counts enter the float formulas through sqrt(s) and log(s)
+        if getattr(args, "s", 1) > sys.float_info.max:
+            raise InvalidSpec("--s exceeds the float range")
         if args.command == "field" and args.m_max is None:
             args.m_max = min(2 * args.n, 100) if args.n >= 1 else None
         return args.handler(args)

@@ -8,15 +8,16 @@ implemented here and cross-validated against each other by quadrature.
 The same area statistic controls a variational estimate on the spin
 chain: multiplying each Motzkin string's ground-state amplitude by a
 phase proportional to the area under its walk costs an energy that can
-be computed exactly by prefix/suffix transfer sums, without enumerating
-strings.  That energy, doubled, upper-bounds the spectral gap whenever
+be computed exactly by prefix/suffix transfer sums, and leaves an overlap
+with the ground state that is a transfer product over heights; neither
+enumerates strings.  That energy, doubled, upper-bounds the spectral gap whenever
 the twisted state keeps at most half its weight on the ground state.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,11 +38,7 @@ from .walks import halfwalk_table, motzkin_number
 DEFAULT_ZERO_COUNT = 40
 SERIES_TOL = 1e-12
 QUADRATURE_RANGE = (1e-3, 3.0)
-
-# Largest sizes the exact trial-state sums accept, per color count; other
-# color counts fall back to a cap on the Motzkin string count itself.
-TRIAL_SIZE_LIMITS = {1: 18, 2: 12}
-TRIAL_COUNT_GUARD = 10**7
+QUADRATURE_TOL = 1e-7
 
 # The twist angle that balances phase decay against energy cost scales as
 # sqrt(3)/(2 sqrt(5/3 - pi/2)) times n^{-3/2}.
@@ -130,8 +127,8 @@ class ExcursionDensity:
         return float(out[0]) if scalar else out
 
 
-def excursion_density(zero_count: int = DEFAULT_ZERO_COUNT) -> ExcursionDensity:
-    return ExcursionDensity(zeros=airy_zeros(zero_count))
+def excursion_density() -> ExcursionDensity:
+    return ExcursionDensity(zeros=airy_zeros(DEFAULT_ZERO_COUNT))
 
 
 @lru_cache(maxsize=None)
@@ -192,18 +189,14 @@ def area_std() -> float:
 
 
 def integrate_density(
-    density: ExcursionDensity,
-    weight=None,
-    lo: float = QUADRATURE_RANGE[0],
-    hi: float = QUADRATURE_RANGE[1],
-    max_panel_width: float = 0.1,
-    tol: float = 1e-7,
+    density: ExcursionDensity, weight=None, max_panel_width: float = 0.1
 ):
-    """Panel Gauss quadrature of ``density * weight`` with error control.
+    """Panel Gauss quadrature of ``density * weight`` over ``QUADRATURE_RANGE``.
 
     Doubles the panel count until two successive refinements agree within
-    ``tol``; the last change is the reported error estimate.
+    ``QUADRATURE_TOL``; the last change is the reported error estimate.
     """
+    lo, hi = QUADRATURE_RANGE
     nodes, gauss_w = leggauss(16)
     panels = max(8, int(math.ceil((hi - lo) / max_panel_width)))
     previous = None
@@ -216,7 +209,7 @@ def integrate_density(
         if weight is not None:
             values = values * weight(points)
         total = half * (values.reshape(panels, -1) @ gauss_w).sum()
-        if previous is not None and abs(total - previous) < tol:
+        if previous is not None and abs(total - previous) < QUADRATURE_TOL:
             return total, abs(total - previous)
         previous = total
         panels *= 2
@@ -313,20 +306,15 @@ def rectangle_level_pair(
 
 
 def _check_trial_size(two_n: int, s: int) -> None:
+    """Parity and color checks, and the one size bound: the string count
+    must be a finite float, which also bounds the exact move-pair table."""
     if two_n < 2 or two_n % 2:
         raise InvalidSpec("two_n must be even and >= 2")
     if s < 1:
         raise InvalidSpec("need s >= 1")
-    limit = TRIAL_SIZE_LIMITS.get(s)
-    if limit is not None:
-        if two_n > limit:
-            raise SizeExceeded(
-                f"two_n={two_n} exceeds the exact trial-state limit {limit} for s={s}"
-            )
-    elif motzkin_number(two_n, s) > TRIAL_COUNT_GUARD:
+    if motzkin_number(two_n, s) > sys.float_info.max:
         raise SizeExceeded(
-            f"{motzkin_number(two_n, s)} strings exceed the trial guard "
-            f"{TRIAL_COUNT_GUARD:.0e}"
+            f"the colored Motzkin string count at two_n={two_n} exceeds the float range"
         )
 
 
@@ -369,35 +357,6 @@ def move_pair_count(two_n: int, s: int) -> int:
     return total
 
 
-def area_histogram(two_n: int, s: int) -> dict[int, int]:
-    """How many colored Motzkin strings carry each walk area.
-
-    The area convention is the sum of the heights after every step; the
-    transfer update adds the post-step height as each step is placed, so
-    the histogram doubles as the incremental-area cross-check.
-    """
-    _check_trial_size(two_n, s)
-    n = two_n // 2
-    max_area = n * n + 1
-    current = {(0, 0): 1}
-    for _ in range(two_n):
-        nxt: dict[tuple[int, int], int] = {}
-        for (h, a), count in current.items():
-            nxt[(h, a + h)] = nxt.get((h, a + h), 0) + count
-            if h < n:
-                key = (h + 1, a + h + 1)
-                nxt[key] = nxt.get(key, 0) + s * count
-            if h:
-                key = (h - 1, a + h - 1)
-                nxt[key] = nxt.get(key, 0) + count
-        current = {k: v for k, v in nxt.items() if k[1] <= max_area}
-    out: dict[int, int] = {}
-    for (h, a), count in current.items():
-        if h == 0:
-            out[a] = out.get(a, 0) + count
-    return out
-
-
 def trial_energy_exact(
     two_n: int, s: int, theta_tilde: float
 ) -> tuple[complex, float]:
@@ -405,23 +364,33 @@ def trial_energy_exact(
 
     Every move flips the walk area by exactly one, so each of the
     :func:`move_pair_count` pairs costs ``(1 - cos 2 pi theta)`` over the
-    string count, and the overlap is the phase average over the area
-    histogram.  Both are exact transfer sums; no strings are enumerated.
+    string count.  The area is the sum of the post-step heights, so the
+    overlap is a transfer product over heights: the twisted vector takes
+    the phase ``exp(2 pi i theta h)`` at each post-step height ``h``.  A
+    flat step weighs ``s**-0.5`` and a letter 1, so a matched pair carries
+    its ``s`` colors, and rescaling by the untwisted maximum after every
+    step keeps both vectors in range for any ``s``.
     """
     _check_trial_size(two_n, s)
     if not math.isfinite(theta_tilde):
         raise DomainError(f"the twist must be finite, got {theta_tilde}")
-    total = motzkin_number(two_n, s)
-    histogram = area_histogram(two_n, s)
-    overlap = (
-        sum(
-            count * cmath.exp(2j * math.pi * theta_tilde * area)
-            for area, count in histogram.items()
-        )
-        / total
-    )
+    n = two_n // 2
+    # heights are integers, so only theta mod 1 matters; fmod is exact and
+    # keeps a huge twist's phases finite
+    phase = np.exp(2j * math.pi * math.fmod(theta_tilde, 1.0) * np.arange(n + 1))
+    flat = math.exp(-0.5 * math.log(s))
+    # row 0 is the untwisted vector over heights 0..n, row 1 the twisted one
+    vectors = np.zeros((2, n + 1), dtype=complex)
+    vectors[:, 0] = 1.0
+    for _ in range(two_n):
+        stepped = flat * vectors
+        stepped[:, 1:] += vectors[:, :-1]
+        stepped[:, :-1] += vectors[:, 1:]
+        stepped[1] *= phase
+        vectors = stepped / stepped[0].real.max()
+    overlap = complex(vectors[1, 0] / vectors[0, 0])
     energy = (1.0 - math.cos(2.0 * math.pi * theta_tilde)) * (
-        move_pair_count(two_n, s) / total
+        move_pair_count(two_n, s) / motzkin_number(two_n, s)
     )
     return overlap, energy
 

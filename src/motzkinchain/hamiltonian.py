@@ -141,22 +141,6 @@ def _block(s: int, families: Sequence[str]) -> np.ndarray:
     return block
 
 
-def pair_block(s: int) -> np.ndarray:
-    """Dense ``d**2 x d**2`` two-site energy block: every local term."""
-    return _block(s, _FAMILIES)
-
-
-def move_block(s: int, families: str = "all") -> np.ndarray:
-    """Two-site block restricted to chosen move families.
-
-    ``families`` is ``"all"``, ``"shift"`` (letter-flat exchanges only), or
-    ``"pair"`` (creation and annihilation of a colored pair only).
-    """
-    if families not in ("all", "shift", "pair"):
-        raise InvalidSpec(f"unknown family selector {families!r}")
-    return _block(s, ("shift", "pair") if families == "all" else (families,))
-
-
 def _site_digits(dim: int, site: int, two_n: int, d: int) -> np.ndarray:
     """Digit of every configuration at a 1-based site."""
     stride = d ** (two_n - site)

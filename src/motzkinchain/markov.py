@@ -451,7 +451,14 @@ class CanonicalTree:
 
 
 def build_canonical_tree(n: int, s: int) -> CanonicalTree:
-    """The tree over ``dyck_basis(n, s)``, the basis the transition uses."""
+    """The tree over ``dyck_basis(n, s)``, the basis the transition uses.
+
+    Checks the pair guard first, from the basis size: the tree exists to
+    route all ordered pairs, and an oversize one would be built in vain.
+    """
+    size = basis_size(n, s)
+    if size**2 > PAIR_GUARD:
+        raise SizeExceeded(f"{size}**2 ordered pairs exceed the guard {PAIR_GUARD:.0e}")
     basis = dyck_basis(n, s)
     parent = np.full(basis.size, -1, dtype=np.int64)
     parent_peak = np.full(basis.size, -1, dtype=np.int64)
@@ -543,10 +550,6 @@ def edge_load(tree: CanonicalTree, transition: TransitionMatrix) -> EdgeLoadResu
     probability flow bounds the relaxation: ``1 - lambda_2 >= 1/(rho L)``.
     """
     basis = tree.basis
-    if basis.size**2 > PAIR_GUARD:
-        raise SizeExceeded(
-            f"{basis.size}**2 ordered pairs exceed the guard {PAIR_GUARD:.0e}"
-        )
     if transition.basis is not basis:
         raise InvalidSpec("tree and transition use different bases")
     pi = transition.stationary

@@ -165,16 +165,13 @@ def halfwalk_term_argmax(n: int, m: int, s: int) -> int:
     return int(np.argmax(next(log_halfwalk_terms(n, s, m, m + 1))[0]))
 
 
-def expected_mid_height(n: int, s: int = 1) -> tuple[float, float]:
+def expected_mid_height(n: int) -> tuple[float, float]:
     """Mean midpoint height of a random one-color Motzkin walk.
 
     Returns ``(exact, asymptotic)`` where the exact value is
     ``sum_m m M(n,m)**2 / sum_m M(n,m)**2`` and the asymptotic one is
-    ``2 sqrt(2/(3 pi)) sqrt(n)``.  Only the one-color case is supported;
-    the asymptotic constant is specific to it.
+    ``2 sqrt(2/(3 pi)) sqrt(n)``, a constant specific to one color.
     """
-    if s != 1:
-        raise InvalidSpec("expected_mid_height is defined for s = 1")
     table = CountTable.build(n, 1)
     logw = table.log_schmidt_weight()
     peak = float(np.max(logw))

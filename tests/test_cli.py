@@ -275,6 +275,21 @@ def test_markov_builds_the_dyck_basis_once(capsys, monkeypatch):
     assert levels == [0, 2, 4, 6]
 
 
+def test_markov_pair_guard_exits_before_any_basis(capsys, monkeypatch):
+    from motzkinchain import markov
+
+    calls = []
+
+    def counted(n, s):
+        calls.append((n, s))
+        raise AssertionError("a Dyck basis was built")
+
+    monkeypatch.setattr(markov, "dyck_basis", counted)
+    assert main(["markov", "--two-n", "20", "--s", "1"]) == EXIT_VALIDATION
+    assert "ordered pairs" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_markov_rejects_unknown_report(capsys):
     assert main(["markov", "--two-n", "6", "--s", "1", "--report", "bogus"]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error:")
@@ -394,6 +409,8 @@ def test_validation_failures_exit_two(capsys):
         ["excursion", "--trial", "--two-n", "8", "--theta", "nan"],
         ["excursion", "--density", "--grid", "0.5:inf:3"],
         ["gap", "--s", "1", "--sizes", "4,4"],
+        ["entropy", "--s", str(10**400), "--n-list", "10"],
+        ["field", "--n", "3", "--s", str(10**400), "--eps0", "0.001"],
     ],
 )
 def test_non_finite_or_degenerate_input_exits_two(capsys, argv):
@@ -401,6 +418,8 @@ def test_non_finite_or_degenerate_input_exits_two(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    if str(10**400) in argv:
+        assert "--s" in captured.err
 
 
 def test_thread_flag_sets_environment(capsys, monkeypatch):

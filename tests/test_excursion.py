@@ -25,7 +25,6 @@ from motzkinchain.excursion import (
     TWIST_CONSTANT,
     _check_trial_size,
     airy_zeros,
-    area_histogram,
     area_std,
     characteristic_FA,
     excursion_density,
@@ -211,6 +210,35 @@ def test_twist_angle_power_law():
 # ---------------------------------------------------------------------------
 
 
+def area_histogram(two_n: int, s: int) -> dict[int, int]:
+    """How many colored Motzkin strings carry each walk area.
+
+    The area convention is the sum of the heights after every step; the
+    transfer update adds the post-step height as each step is placed, so
+    the histogram doubles as the incremental-area cross-check.
+    """
+    _check_trial_size(two_n, s)
+    n = two_n // 2
+    max_area = n * n + 1
+    current = {(0, 0): 1}
+    for _ in range(two_n):
+        nxt: dict[tuple[int, int], int] = {}
+        for (h, a), count in current.items():
+            nxt[(h, a + h)] = nxt.get((h, a + h), 0) + count
+            if h < n:
+                key = (h + 1, a + h + 1)
+                nxt[key] = nxt.get(key, 0) + s * count
+            if h:
+                key = (h - 1, a + h - 1)
+                nxt[key] = nxt.get(key, 0) + count
+        current = {k: v for k, v in nxt.items() if k[1] <= max_area}
+    out: dict[int, int] = {}
+    for (h, a), count in current.items():
+        if h == 0:
+            out[a] = out.get(a, 0) + count
+    return out
+
+
 def _enumerated_area_histogram(two_n, s):
     out = {}
     for digits in iter_matched_digit_strings(two_n, s):
@@ -253,10 +281,59 @@ def test_histogram_total_is_string_count():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    ("two_n", "s"),
+    [(t, 1) for t in range(2, 19, 2)]
+    + [(t, 2) for t in range(2, 13, 2)]
+    + [(t, 3) for t in range(2, 11, 2)],
+)
+def test_transfer_overlap_matches_area_histogram(two_n, s):
+    histogram = area_histogram(two_n, s)
+    total = motzkin_number(two_n, s)
+    for factor in (1, 2, 4, 8):
+        theta = factor * twist_angle(two_n)
+        expected = (
+            sum(
+                count * cmath.exp(2j * math.pi * theta * area)
+                for area, count in histogram.items()
+            )
+            / total
+        )
+        overlap, _ = trial_energy_exact(two_n, s, theta)
+        assert abs(overlap - expected) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    ("two_n", "s", "factor", "reference"),
+    [
+        # sums over the exact area histogram in 40-digit arithmetic
+        (18, 1, 1, complex(-0.008838119195192915556647, -0.1304735277384225629260)),
+        (12, 2, 4, complex(0.001356032001686783313145, 0.001376120839450045424189)),
+        (10, 3, 8, complex(0.01360866121381622822559, -0.004383880922760486370631)),
+    ],
+)
+def test_transfer_overlap_high_precision_references(two_n, s, factor, reference):
+    overlap, _ = trial_energy_exact(two_n, s, factor * twist_angle(two_n))
+    assert abs(overlap - reference) <= 6e-15
+
+
+@pytest.mark.parametrize(("two_n", "s"), [(20, 10**6), (94, 10**6), (2, 10**300)])
+def test_transfer_overlap_stays_finite_for_many_colors(two_n, s):
+    overlap, energy = trial_energy_exact(two_n, s, twist_angle(two_n))
+    assert cmath.isfinite(overlap) and math.isfinite(energy)
+    assert abs(overlap) <= 1.0
+
+
 def test_untwisted_state_is_the_ground_state():
     overlap, energy = trial_energy_exact(10, 1, 0.0)
     assert overlap == pytest.approx(1.0 + 0.0j, abs=1e-14)
     assert energy == 0.0
+
+
+@pytest.mark.parametrize("theta", [3.0, 1e307])
+def test_whole_number_twist_leaves_the_overlap_at_one(theta):
+    overlap, _ = trial_energy_exact(8, 1, theta)
+    assert overlap == 1.0
 
 
 @pytest.mark.parametrize(("two_n", "s"), [(8, 1), (6, 2)])
@@ -328,14 +405,27 @@ def test_trial_state_amplitudes():
 
 
 def test_trial_size_guards():
+    # the one bound: the string count must fit a float
+    trial_energy_exact(654, 1, twist_angle(654))
     with pytest.raises(SizeExceeded):
-        trial_energy_exact(20, 1, 0.01)
+        trial_energy_exact(656, 1, 0.01)
     with pytest.raises(SizeExceeded):
-        TrialState(two_n=14, s=2, theta_tilde=0.01)
+        trial_energy_exact(4, 10**400, 0.01)
     with pytest.raises(SizeExceeded):
-        trial_energy_exact(14, 3, 0.01)
+        TrialState(two_n=96, s=10**6, theta_tilde=0.01)
     with pytest.raises(InvalidSpec):
         trial_energy_exact(7, 1, 0.01)
+    with pytest.raises(InvalidSpec):
+        trial_energy_exact(4, 0, 0.01)
+
+
+def test_trial_energy_decays_as_inverse_square_length():
+    # the paper's c >= 2: at the reference twist the trial energy, hence
+    # the gap bound, falls like n^-2; measured by doubling 300 -> 600
+    low = trial_energy_exact(300, 1, twist_angle(300))[1]
+    high = trial_energy_exact(600, 1, twist_angle(600))[1]
+    slope = math.log(high / low) / math.log(2.0)
+    assert -2.01 <= slope <= -1.99
 
 
 def test_reference_twist_frozen_point():

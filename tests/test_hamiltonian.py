@@ -21,7 +21,9 @@ from conftest import (
 from motzkinchain import hamiltonian
 from motzkinchain.errors import InvalidSpec, SizeExceeded
 from motzkinchain.hamiltonian import (
+    _FAMILIES,
     ChainSpec,
+    _block,
     boundary_diagonal,
     build_hamiltonian,
     build_interaction_part,
@@ -32,8 +34,6 @@ from motzkinchain.hamiltonian import (
     local_move_classes,
     lowest_spectrum,
     motzkin_indices,
-    move_block,
-    pair_block,
     reduced_word_of_config,
     state_vector,
     verify_frustration_free,
@@ -205,6 +205,22 @@ def test_dimension_guard():
 # ---------------------------------------------------------------------------
 # Local blocks
 # ---------------------------------------------------------------------------
+
+
+def pair_block(s: int) -> np.ndarray:
+    """Dense ``d**2 x d**2`` two-site energy block: every local term."""
+    return _block(s, _FAMILIES)
+
+
+def move_block(s: int, families: str = "all") -> np.ndarray:
+    """Two-site block restricted to chosen move families.
+
+    ``families`` is ``"all"``, ``"shift"`` (letter-flat exchanges only), or
+    ``"pair"`` (creation and annihilation of a colored pair only).
+    """
+    if families not in ("all", "shift", "pair"):
+        raise InvalidSpec(f"unknown family selector {families!r}")
+    return _block(s, ("shift", "pair") if families == "all" else (families,))
 
 
 @pytest.mark.parametrize(("s", "rank"), [(1, 3), (2, 8), (3, 15)])

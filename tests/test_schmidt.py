@@ -248,8 +248,3 @@ def test_expected_mid_height_asymptotic_form():
 def test_expected_mid_height_ratio_converges():
     exact, asym = expected_mid_height(10**4)
     assert abs(exact / asym - 1.0) < 0.02
-
-
-def test_expected_mid_height_single_color_only():
-    with pytest.raises(InvalidSpec):
-        expected_mid_height(100, s=2)
