@@ -258,6 +258,8 @@ def _cmd_markov(args) -> int:
             raise InvalidSpec(f"unknown report part {piece!r}")
     if not parts:
         raise InvalidSpec("--report must name gap and/or edge-load")
+    if args.two_n < 2 or args.two_n % 2:
+        raise InvalidSpec("two_n must be even and >= 2")
     # the tree checks the pair guard before any basis is built
     tree = build_canonical_tree(args.two_n // 2, args.s) if "edge-load" in parts else None
     transition = build_transition(args.two_n, args.s)

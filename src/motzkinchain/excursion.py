@@ -305,17 +305,24 @@ def rectangle_level_pair(
 # ---------------------------------------------------------------------------
 
 
-def _check_trial_size(two_n: int, s: int) -> None:
+def _check_trial_size(two_n: int, s: int) -> int:
     """Parity and color checks, and the one size bound: the string count
-    must be a finite float, which also bounds the exact move-pair table."""
+    must be a finite float, which also bounds the exact move-pair table.
+    Returns that count."""
     if two_n < 2 or two_n % 2:
         raise InvalidSpec("two_n must be even and >= 2")
     if s < 1:
         raise InvalidSpec("need s >= 1")
-    if motzkin_number(two_n, s) > sys.float_info.max:
+    # the float range ends below 2**1024, and the count is at least 2**two_n
+    # (two_n >= 8) and at least s**(two_n/2); these cheap lower bounds turn
+    # a huge request away before an exact count is built for it
+    too_large = two_n >= 1024 or (two_n // 2) * (s.bit_length() - 1) >= 1024
+    total = 0 if too_large else motzkin_number(two_n, s)
+    if too_large or total > sys.float_info.max:
         raise SizeExceeded(
             f"the colored Motzkin string count at two_n={two_n} exceeds the float range"
         )
+    return total
 
 
 def twist_angle(two_n: int) -> float:
@@ -339,6 +346,11 @@ def move_pair_count(two_n: int, s: int) -> int:
     once, from its flat-first representative.
     """
     _check_trial_size(two_n, s)
+    return _move_pairs(two_n, s)
+
+
+def _move_pairs(two_n: int, s: int) -> int:
+    """:func:`move_pair_count` for a size already checked."""
     # T[L][h] counts the closings of length L descending from height h (the
     # colors of their h unmatched letters are forced), and s**h * T[L][h]
     # the prefixes of length L ending at height h, whose unmatched letters
@@ -371,13 +383,14 @@ def trial_energy_exact(
     its ``s`` colors, and rescaling by the untwisted maximum after every
     step keeps both vectors in range for any ``s``.
     """
-    _check_trial_size(two_n, s)
+    total = _check_trial_size(two_n, s)
     if not math.isfinite(theta_tilde):
         raise DomainError(f"the twist must be finite, got {theta_tilde}")
+    # heights and area flips are integers, so only theta mod 1 matters; fmod
+    # is exact and keeps a huge twist's phases and cosine meaningful
+    theta = math.fmod(theta_tilde, 1.0)
     n = two_n // 2
-    # heights are integers, so only theta mod 1 matters; fmod is exact and
-    # keeps a huge twist's phases finite
-    phase = np.exp(2j * math.pi * math.fmod(theta_tilde, 1.0) * np.arange(n + 1))
+    phase = np.exp(2j * math.pi * theta * np.arange(n + 1))
     flat = math.exp(-0.5 * math.log(s))
     # row 0 is the untwisted vector over heights 0..n, row 1 the twisted one
     vectors = np.zeros((2, n + 1), dtype=complex)
@@ -389,9 +402,7 @@ def trial_energy_exact(
         stepped[1] *= phase
         vectors = stepped / stepped[0].real.max()
     overlap = complex(vectors[1, 0] / vectors[0, 0])
-    energy = (1.0 - math.cos(2.0 * math.pi * theta_tilde)) * (
-        move_pair_count(two_n, s) / motzkin_number(two_n, s)
-    )
+    energy = (1.0 - math.cos(2.0 * math.pi * theta)) * (_move_pairs(two_n, s) / total)
     return overlap, energy
 
 

@@ -290,6 +290,18 @@ def test_markov_pair_guard_exits_before_any_basis(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("two_n", ["7", "41", "0"])
+def test_markov_parity_exits_before_any_basis(capsys, monkeypatch, two_n):
+    from motzkinchain import markov
+
+    def counted(n, s):
+        raise AssertionError("a Dyck basis was built")
+
+    monkeypatch.setattr(markov, "dyck_basis", counted)
+    assert main(["markov", "--two-n", two_n, "--s", "1"]) == EXIT_VALIDATION
+    assert "must be even" in capsys.readouterr().err
+
+
 def test_markov_rejects_unknown_report(capsys):
     assert main(["markov", "--two-n", "6", "--s", "1", "--report", "bogus"]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error:")

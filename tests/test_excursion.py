@@ -332,8 +332,9 @@ def test_untwisted_state_is_the_ground_state():
 
 @pytest.mark.parametrize("theta", [3.0, 1e307])
 def test_whole_number_twist_leaves_the_overlap_at_one(theta):
-    overlap, _ = trial_energy_exact(8, 1, theta)
+    overlap, energy = trial_energy_exact(8, 1, theta)
     assert overlap == 1.0
+    assert energy == 0.0
 
 
 @pytest.mark.parametrize(("two_n", "s"), [(8, 1), (6, 2)])
@@ -417,6 +418,19 @@ def test_trial_size_guards():
         trial_energy_exact(7, 1, 0.01)
     with pytest.raises(InvalidSpec):
         trial_energy_exact(4, 0, 0.01)
+
+
+def test_huge_trial_size_is_refused_before_any_exact_count(monkeypatch):
+    # the cheap lower bounds reject these, so no count (nor Pascal row) is built
+    from motzkinchain import excursion
+
+    def counted(length, s):
+        raise AssertionError("an exact count was built")
+
+    monkeypatch.setattr(excursion, "motzkin_number", counted)
+    for two_n, s in [(10**5, 1), (1024, 1), (8, 2**1024)]:
+        with pytest.raises(SizeExceeded):
+            trial_energy_exact(two_n, s, 0.01)
 
 
 def test_trial_energy_decays_as_inverse_square_length():
