@@ -7,17 +7,16 @@ implemented here and cross-validated against each other by quadrature.
 
 The same area statistic controls a variational estimate on the spin
 chain: multiplying each Motzkin string's ground-state amplitude by a
-phase proportional to the area under its walk costs an energy that can
-be computed exactly by prefix/suffix transfer sums, and leaves an overlap
-with the ground state that is a transfer product over heights; neither
-enumerates strings.  That energy, doubled, upper-bounds the spectral gap whenever
-the twisted state keeps at most half its weight on the ground state.
+phase proportional to the area under its walk costs an energy and leaves
+an overlap with the ground state that one transfer product over heights
+gives together, without enumerating strings.  That energy, doubled,
+upper-bounds the spectral gap whenever the twisted state keeps at most
+half its weight on the ground state.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,12 +32,13 @@ from .errors import (
     OverlapTooLarge,
     SizeExceeded,
 )
-from .walks import halfwalk_table, motzkin_number
 
 DEFAULT_ZERO_COUNT = 40
 SERIES_TOL = 1e-12
 QUADRATURE_RANGE = (1e-3, 3.0)
 QUADRATURE_TOL = 1e-7
+# the trial transfer product's size bound, in height updates (two_n * (n + 1))
+TRIAL_WORK_LIMIT = 10**8
 
 # The twist angle that balances phase decay against energy cost scales as
 # sqrt(3)/(2 sqrt(5/3 - pi/2)) times n^{-3/2}.
@@ -305,24 +305,17 @@ def rectangle_level_pair(
 # ---------------------------------------------------------------------------
 
 
-def _check_trial_size(two_n: int, s: int) -> int:
-    """Parity and color checks, and the one size bound: the string count
-    must be a finite float, which also bounds the exact move-pair table.
-    Returns that count."""
+def _check_trial_size(two_n: int, s: int) -> None:
+    """Parity and color checks, and the one size bound: the transfer
+    product's work, ``two_n`` steps over ``n + 1`` heights."""
     if two_n < 2 or two_n % 2:
         raise InvalidSpec("two_n must be even and >= 2")
     if s < 1:
         raise InvalidSpec("need s >= 1")
-    # the float range ends below 2**1024, and the count is at least 2**two_n
-    # (two_n >= 8) and at least s**(two_n/2); these cheap lower bounds turn
-    # a huge request away before an exact count is built for it
-    too_large = two_n >= 1024 or (two_n // 2) * (s.bit_length() - 1) >= 1024
-    total = 0 if too_large else motzkin_number(two_n, s)
-    if too_large or total > sys.float_info.max:
+    if two_n * (two_n // 2 + 1) > TRIAL_WORK_LIMIT:
         raise SizeExceeded(
-            f"the colored Motzkin string count at two_n={two_n} exceeds the float range"
+            f"two_n={two_n} needs more than {TRIAL_WORK_LIMIT:.0e} transfer updates"
         )
-    return total
 
 
 def twist_angle(two_n: int) -> float:
@@ -331,59 +324,32 @@ def twist_angle(two_n: int) -> float:
     Scales as the inverse 3/2 power of the chain length, so the phase
     accumulated over a typical walk area stays of order one while the
     per-move phase shrinks.  With this normalization the trial energy
-    decays roughly quadratically in the chain length over the sizes
-    that exact enumeration can reach.
+    decays quadratically in the chain length.
     """
     return TWIST_CONSTANT * two_n ** (-1.5)
-
-
-def move_pair_count(two_n: int, s: int) -> int:
-    """Number of (string, position, move) triples counted from one side.
-
-    A move is a letter hopping over an adjacent flat site, or a matched
-    pair materializing on two adjacent flat sites (one triple per color);
-    each unordered pair of strings joined by a move is counted exactly
-    once, from its flat-first representative.
-    """
-    _check_trial_size(two_n, s)
-    return _move_pairs(two_n, s)
-
-
-def _move_pairs(two_n: int, s: int) -> int:
-    """:func:`move_pair_count` for a size already checked."""
-    # T[L][h] counts the closings of length L descending from height h (the
-    # colors of their h unmatched letters are forced), and s**h * T[L][h]
-    # the prefixes of length L ending at height h, whose unmatched letters
-    # take any color.
-    table = halfwalk_table(two_n, s)
-    total = 0
-    for j in range(1, two_n):
-        left = table[j - 1]
-        right = table[two_n - j - 1] + [0, 0]
-        # from above two_n - j the suffix cannot descend to the ground
-        for h in range(min(j, two_n - j + 1)):
-            contributions = s * right[h + 1] + s * right[h]
-            if h:
-                contributions += right[h - 1]
-            total += s**h * left[h] * contributions
-    return total
 
 
 def trial_energy_exact(
     two_n: int, s: int, theta_tilde: float
 ) -> tuple[complex, float]:
-    """Ground-state overlap and exact energy of the phase-twisted state.
+    """Ground-state overlap and energy of the phase-twisted state.
 
-    Every move flips the walk area by exactly one, so each of the
-    :func:`move_pair_count` pairs costs ``(1 - cos 2 pi theta)`` over the
-    string count.  The area is the sum of the post-step heights, so the
-    overlap is a transfer product over heights: the twisted vector takes
-    the phase ``exp(2 pi i theta h)`` at each post-step height ``h``.  A
-    flat step weighs ``s**-0.5`` and a letter 1, so a matched pair carries
-    its ``s`` colors, and rescaling by the untwisted maximum after every
-    step keeps both vectors in range for any ``s``.
+    One transfer product over heights gives both.  The area is the sum of
+    the post-step heights, so the twisted vector takes the phase
+    ``exp(2 pi i theta h)`` at each post-step height ``h``.  A move is a
+    letter hopping over an adjacent flat site or a matched pair appearing
+    on two adjacent flat sites (one per color); it flips the area by
+    exactly one and costs ``(1 - cos 2 pi theta)``.  Counting each move
+    once, from its flat-first side, the move-weighted vector gains at
+    every step the moves completed right after a flat step, read off the
+    untwisted vector from two steps back; at height 0 the move row over
+    the untwisted one is the mean number of moves per string.  A flat
+    step weighs ``s**-0.5`` and a letter 1, so a matched pair carries its
+    ``s`` colors, and rescaling by the untwisted maximum after every step
+    keeps all rows in range for any ``s``; the rows other than the
+    twisted one are positive, so nothing cancels.
     """
-    total = _check_trial_size(two_n, s)
+    _check_trial_size(two_n, s)
     if not math.isfinite(theta_tilde):
         raise DomainError(f"the twist must be finite, got {theta_tilde}")
     # heights and area flips are integers, so only theta mod 1 matters; fmod
@@ -392,17 +358,27 @@ def trial_energy_exact(
     n = two_n // 2
     phase = np.exp(2j * math.pi * theta * np.arange(n + 1))
     flat = math.exp(-0.5 * math.log(s))
-    # row 0 is the untwisted vector over heights 0..n, row 1 the twisted one
-    vectors = np.zeros((2, n + 1), dtype=complex)
-    vectors[:, 0] = 1.0
+    # rows over heights 0..n: the untwisted vector, the twisted one, the
+    # move-weighted one and the untwisted one from the step before
+    rows = np.zeros((4, n + 1), dtype=complex)
+    rows[:2, 0] = 1.0
     for _ in range(two_n):
-        stepped = flat * vectors
-        stepped[:, 1:] += vectors[:, :-1]
-        stepped[:, :-1] += vectors[:, 1:]
+        stepped = flat * rows
+        stepped[:, 1:] += rows[:, :-1]
+        stepped[:, :-1] += rows[:, 1:]
         stepped[1] *= phase
-        vectors = stepped / stepped[0].real.max()
-    overlap = complex(vectors[1, 0] / vectors[0, 0])
-    energy = (1.0 - math.cos(2.0 * math.pi * theta)) * (_move_pairs(two_n, s) / total)
+        # after a flat step: s pair creations at weight s * flat**2 = 1, or
+        # one hop of a letter
+        before = rows[3]
+        stepped[2] += before
+        stepped[2, 1:] += flat * before[:-1]
+        stepped[2, :-1] += flat * before[1:]
+        stepped[3] = rows[0]
+        stepped /= stepped[0].real.max()
+        rows = stepped
+    overlap = complex(rows[1, 0] / rows[0, 0])
+    moves = float(rows[2, 0].real / rows[0, 0].real)
+    energy = (1.0 - math.cos(2.0 * math.pi * theta)) * moves
     return overlap, energy
 
 

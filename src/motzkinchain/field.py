@@ -115,6 +115,8 @@ def field_energies(n: int, s: int, epsilon0: float, m_max: int | None = None) ->
     if not 0.0 < epsilon0 < 1.0:
         raise DomainError("epsilon0 must lie in (0, 1)")
     two_n = 2 * n
+    if two_n > LOG_LIMIT:
+        raise SizeExceeded(f"field energies stop at n = {LOG_LIMIT // 2}")
     if m_max is None:
         m_max = two_n
     if not 0 <= m_max <= two_n:

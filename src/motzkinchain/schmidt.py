@@ -11,6 +11,7 @@ grows like ``sqrt(n)`` for two or more colors and logarithmically for one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ def sigma(s: int) -> float:
     """Peak-location constant ``sqrt(s) / (2 sqrt(s) + 1)``."""
     if s < 1:
         raise InvalidSpec("color count s must be >= 1")
+    if s > sys.float_info.max:
+        raise InvalidSpec("color count s exceeds the float range")
     r = math.sqrt(s)
     return r / (2.0 * r + 1.0)
 
@@ -146,10 +149,11 @@ def saddle_point(n: int, m: int, s: int) -> float:
     """
     if n < 1 or m < 0 or m > n:
         raise InvalidSpec("need 0 <= m <= n with n >= 1")
+    sig = sigma(s)
     r = math.sqrt(s)
     x = m / n
     return (
-        sigma(s) * n
+        sig * n
         - m / 2.0
         + (m / (8.0 * r)) * x
         + ((4.0 * s - 1.0) * m / (128.0 * s * r)) * x**3

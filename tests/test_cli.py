@@ -334,6 +334,13 @@ def test_excursion_trial_report(capsys):
     assert payload["energy"] == pytest.approx(energy, rel=1e-12)
 
 
+def test_excursion_trial_beyond_the_work_bound_exits_two(capsys):
+    assert main(["excursion", "--trial", "--two-n", "14142"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_excursion_requires_exactly_one_mode(capsys):
     assert main(["excursion"]) == EXIT_VALIDATION
     capsys.readouterr()
@@ -373,6 +380,14 @@ def test_field_m_max_flag(capsys):
     assert main(["field", "--n", "5", "--s", "2", "--eps0", "0.01", "--m-max", "2"]) == EXIT_OK
     rows = _rows(capsys.readouterr().out)
     assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
+
+
+def test_field_size_error_names_the_half_length(capsys):
+    # the log-space limit is on the 2n sites, so --n stops at 1000
+    assert main(["field", "--n", "1001", "--s", "1", "--eps0", "0.5"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n = 1000" in captured.err
 
 
 # ---------------------------------------------------------------------------

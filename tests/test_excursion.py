@@ -8,6 +8,7 @@ cross-checked by explicit enumeration on the spin chain itself.
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from motzkinchain.excursion import (
     excursion_moments,
     integrate_density,
     moment_asymptotic,
-    move_pair_count,
     rectangle_level_pair,
     trial_energy_exact,
     twist_angle,
@@ -43,7 +43,8 @@ from motzkinchain.hamiltonian import (
     lowest_spectrum,
     motzkin_indices,
 )
-from motzkinchain.walks import decode_walk, motzkin_number
+from motzkinchain.schmidt import sigma
+from motzkinchain.walks import decode_walk, halfwalk_table, motzkin_number
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +248,31 @@ def _enumerated_area_histogram(two_n, s):
     return out
 
 
+def move_pair_count(two_n: int, s: int) -> int:
+    """Number of (string, position, move) triples counted from one side.
+
+    A move is a letter hopping over an adjacent flat site, or a matched
+    pair materializing on two adjacent flat sites (one triple per color);
+    each unordered pair of strings joined by a move is counted exactly
+    once, from its flat-first representative.  Exact integers, from the
+    half-walk table: T[L][h] counts the closings of length L descending
+    from height h (the colors of their h unmatched letters are forced),
+    and s**h * T[L][h] the prefixes of length L ending at height h.
+    """
+    table = halfwalk_table(two_n, s)
+    total = 0
+    for j in range(1, two_n):
+        left = table[j - 1]
+        right = table[two_n - j - 1] + [0, 0]
+        # from above two_n - j the suffix cannot descend to the ground
+        for h in range(min(j, two_n - j + 1)):
+            contributions = s * right[h + 1] + s * right[h]
+            if h:
+                contributions += right[h - 1]
+            total += s**h * left[h] * contributions
+    return total
+
+
 def _enumerated_move_pairs(two_n, s):
     """Count (string, position, move) triples from the flat-first side.
 
@@ -269,6 +295,20 @@ def test_area_histogram_matches_enumeration(two_n, s):
 @pytest.mark.parametrize(("two_n", "s"), [(2, 1), (4, 1), (6, 1), (8, 1), (4, 2), (6, 2), (8, 2)])
 def test_move_pair_count_matches_enumeration(two_n, s):
     assert move_pair_count(two_n, s) == _enumerated_move_pairs(two_n, s)
+
+
+@pytest.mark.parametrize(
+    ("two_n", "s"),
+    [(t, s) for s in (1, 2, 3) for t in range(2, 41, 2)]
+    + [(t, 1) for t in (100, 200, 400, 654)]
+    + [(t, 2) for t in (100, 200, 400, 534)]
+    + [(t, 3) for t in (100, 200, 400, 480)],
+)
+def test_transfer_moves_per_string_match_the_exact_ratio(two_n, s):
+    # at theta = 1/2 every move costs 1 - cos(pi) = 2 exactly
+    _, energy = trial_energy_exact(two_n, s, 0.5)
+    exact = float(Fraction(move_pair_count(two_n, s), motzkin_number(two_n, s)))
+    assert energy / 2.0 == pytest.approx(exact, rel=2e-15, abs=0.0)
 
 
 def test_histogram_total_is_string_count():
@@ -406,40 +446,57 @@ def test_trial_state_amplitudes():
 
 
 def test_trial_size_guards():
-    # the one bound: the string count must fit a float
-    trial_energy_exact(654, 1, twist_angle(654))
+    # the one size bound is on work: two_n * (n + 1) transfer updates
+    _check_trial_size(14140, 1)
     with pytest.raises(SizeExceeded):
-        trial_energy_exact(656, 1, 0.01)
-    with pytest.raises(SizeExceeded):
-        trial_energy_exact(4, 10**400, 0.01)
-    with pytest.raises(SizeExceeded):
-        TrialState(two_n=96, s=10**6, theta_tilde=0.01)
+        trial_energy_exact(14142, 1, 0.01)
+    overlap, energy = trial_energy_exact(4, 10**400, 0.01)
+    assert cmath.isfinite(overlap) and math.isfinite(energy)
     with pytest.raises(InvalidSpec):
         trial_energy_exact(7, 1, 0.01)
     with pytest.raises(InvalidSpec):
         trial_energy_exact(4, 0, 0.01)
 
 
-def test_huge_trial_size_is_refused_before_any_exact_count(monkeypatch):
-    # the cheap lower bounds reject these, so no count (nor Pascal row) is built
+def test_huge_trial_size_is_refused_before_any_work(monkeypatch):
+    # the bound is checked before any array is built
     from motzkinchain import excursion
 
-    def counted(length, s):
-        raise AssertionError("an exact count was built")
-
-    monkeypatch.setattr(excursion, "motzkin_number", counted)
-    for two_n, s in [(10**5, 1), (1024, 1), (8, 2**1024)]:
+    monkeypatch.setattr(excursion, "np", None)
+    for two_n, s in [(14142, 1), (10**18, 1), (14142, 2**1024)]:
         with pytest.raises(SizeExceeded):
             trial_energy_exact(two_n, s, 0.01)
 
 
-def test_trial_energy_decays_as_inverse_square_length():
+@pytest.mark.parametrize(("low_n", "tolerance"), [(300, 0.01), (2000, 0.001)])
+def test_trial_energy_decays_as_inverse_square_length(low_n, tolerance):
     # the paper's c >= 2: at the reference twist the trial energy, hence
-    # the gap bound, falls like n^-2; measured by doubling 300 -> 600
-    low = trial_energy_exact(300, 1, twist_angle(300))[1]
-    high = trial_energy_exact(600, 1, twist_angle(600))[1]
+    # the gap bound, falls like n^-2; measured by doubling the length
+    low = trial_energy_exact(low_n, 1, twist_angle(low_n))[1]
+    high = trial_energy_exact(2 * low_n, 1, twist_angle(2 * low_n))[1]
     slope = math.log(high / low) / math.log(2.0)
-    assert -2.01 <= slope <= -1.99
+    assert -2.0 - tolerance <= slope <= -2.0 + tolerance
+
+
+def _area_law_distance(two_n, s):
+    """| |overlap|**2 - |phi_A(c)|**2 | with phi_A Janson's excursion-area
+    transform: a walk's area is about sqrt(2 sigma) (2n)**1.5 times the
+    excursion area, so the reference twist probes phi_A at
+    c = TWIST_CONSTANT * sqrt(2 sigma)."""
+    overlap, _ = trial_energy_exact(two_n, s, twist_angle(two_n))
+    limit = characteristic_FA(TWIST_CONSTANT * math.sqrt(2.0 * sigma(s)))
+    return abs(abs(overlap) ** 2 - abs(limit) ** 2)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_overlap_approaches_the_excursion_area_law(s):
+    # Janson, Probab. Surveys 2007: the rescaled walk area converges to the
+    # Brownian excursion area, whose transform the Airy series computes
+    coarse = _area_law_distance(1000, s)
+    fine = _area_law_distance(4000, s)
+    assert coarse <= 0.2 / 1000
+    assert fine <= 0.2 / 4000
+    assert fine <= coarse / 3.0
 
 
 def test_reference_twist_frozen_point():

@@ -76,6 +76,20 @@ def test_alpha_peak_values():
     assert alpha_peak(4) == pytest.approx(math.sqrt(2.0 * 2.0 / 5.0), rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    ("function", "args"),
+    [
+        (sigma, (10**400,)),
+        (alpha_peak, (10**400,)),
+        (entropy_asymptotic, (100, 10**400)),
+        (saddle_point, (100, 4, 10**400)),
+    ],
+)
+def test_color_count_beyond_the_float_range_is_invalid(function, args):
+    with pytest.raises(InvalidSpec):
+        function(*args)
+
+
 def test_schmidt_rank_closed_form():
     assert schmidt_rank(5, 1) == 6
     assert schmidt_rank(3, 2) == 15
