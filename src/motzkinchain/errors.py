@@ -52,5 +52,9 @@ class MatchingInfeasible(MotzkinChainError, RuntimeError):
     """No integral rounding of a fractional matching satisfied the bounds."""
 
 
+class RouteMismatch(MotzkinChainError, RuntimeError):
+    """A block-generated canonical route disagreed with the reference router."""
+
+
 class OverlapTooLarge(MotzkinChainError, RuntimeError):
     """A trial state stayed too close to the ground state at every tried phase."""

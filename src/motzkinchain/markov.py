@@ -40,6 +40,7 @@ from .errors import (
     InvalidSpec,
     MatchingInfeasible,
     NegativeEntry,
+    RouteMismatch,
     SizeExceeded,
 )
 from .hamiltonian import lowest_spectrum
@@ -47,6 +48,7 @@ from .walks import binomial, catalan_number, encode_walk, enumerate_walks, motzk
 
 BASIS_GUARD = 2 * 10**5
 PAIR_GUARD = 10**8
+_EDGE_BLOCK = 2**14  # route entries per edge_load block: bounds its working memory
 
 STOCHASTIC_TOL = 1e-12
 
@@ -480,6 +482,15 @@ def build_canonical_tree(n: int, s: int) -> CanonicalTree:
     )
 
 
+def _turns(p: int, q: int) -> list[bool]:
+    """Route steps from level ``p`` to level ``q``: ``True`` cuts the start remnant's
+    designated peak, ``False`` inserts the goal prefix's next peak.  The deeper endpoint
+    moves first (the start on a tie); once one chain is used up the other finishes alone."""
+    if p >= q:
+        return [True, False] * q + [True] * (p - q)
+    return [False, True] * p + [False] * (q - p)
+
+
 def canonical_path_with_moves(
     tree: CanonicalTree, start: int, goal: int
 ) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -487,14 +498,12 @@ def canonical_path_with_moves(
     bookkeeping.
 
     Every state is an ancestor of the start followed by an ancestor of the
-    goal.  The route merges the two ancestor chains, alternately cutting
-    the designated peak of the shrinking start remnant and inserting the
-    next peak of the growing goal prefix; the deeper endpoint moves first
-    (the start on a tie), and once one chain is used up the other finishes
-    alone.  Consecutive states differ by exactly one peak and the route has
-    ``level(start) + level(goal)`` edges.  Each move is ``(a, b, peak)`` for
-    the transition from state ``a`` to state ``b``, where ``peak`` is the
-    step index of the changed peak inside the longer of the two states.
+    goal.  The route merges the two ancestor chains in the order of
+    :func:`_turns`.  Consecutive states differ by exactly one peak and the
+    route has ``level(start) + level(goal)`` edges.  Each move is
+    ``(a, b, peak)`` for the transition from state ``a`` to state ``b``,
+    where ``peak`` is the step index of the changed peak inside the longer
+    of the two states.
     """
     basis = tree.basis
     if not 0 <= start < basis.size or not 0 <= goal < basis.size:
@@ -503,15 +512,10 @@ def canonical_path_with_moves(
         return [start], []
     shrink = tree.ancestors(start)
     grow = tree.ancestors(goal)[::-1]
-    p, q = len(shrink) - 1, len(grow) - 1
-    if p >= q:
-        turns = [True, False] * q + [True] * (p - q)
-    else:
-        turns = [False, True] * p + [False] * (q - p)
     cut = added = 0
     states = [start]
     moves: list[tuple[int, int, int]] = []
-    for do_shrink in turns:
+    for do_shrink in _turns(len(shrink) - 1, len(grow) - 1):
         if do_shrink:
             peak = int(tree.parent_peak[shrink[cut]])
             cut += 1
@@ -548,37 +552,79 @@ def edge_load(tree: CanonicalTree, transition: TransitionMatrix) -> EdgeLoadResu
     uses, and every such parallel way carries an equal share of the
     aggregate transition probability.  The load of a way divided by its
     probability flow bounds the relaxation: ``1 - lambda_2 >= 1/(rho L)``.
+
+    Routes are built in numpy blocks of ordered pairs, after one route per
+    level pair is checked against :func:`canonical_path_with_moves` and for
+    true peak surgery (:class:`RouteMismatch` otherwise).  Accumulation
+    order: a way's load sums ``pi[start] * pi[goal]`` in (start, goal, step)
+    order through one running ``np.add.at``, the same IEEE additions at any
+    block size; ties for the largest load go to the way that appeared first.
     """
     basis = tree.basis
     if transition.basis is not basis:
         raise InvalidSpec("tree and transition use different bases")
+    n, size, level, offsets = basis.n, basis.size, basis.level_of, basis.level_offsets
+    width = 2 * n  # the longest route, and a bound on every peak index
+    # anc[i, k]: the k-th ancestor of path i, or the root once k passes its level
+    anc = np.array([(tree.ancestors(i) + [0] * n)[: n + 1] for i in range(size)])
+    cuts = np.zeros((n + 1, n + 1, width), dtype=bool)  # [p, q, t]: step t of a route cuts
+    for p, q in np.ndindex(n + 1, n + 1):
+        cuts[p, q, : p + q] = _turns(p, q)
+    cut = np.pad(cuts.cumsum(axis=2), [(0, 0), (0, 0), (1, 0)])  # [p, q, t]: cuts in t steps
+    added = np.minimum(np.arange(width + 1) - cut, np.arange(n + 1)[:, None])
+    # the path pairs x, y whose levels sum to at most n, by ascending key x * size + y
+    pairs = [(x, y) for x in range(size) for y in range(offsets[n - level[x] + 1])]
+    key = np.array([x * size + y for x, y in pairs])
+    joined = np.array([basis.index[basis.paths[x] + basis.paths[y]] for x, y in pairs])
+
+    def routes(start: np.ndarray, goal: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Moves ``(a, b, peak)`` and cut flags of the routes, in (pair, step) order."""
+        p, q = level[start], level[goal]
+        x = anc[start[:, None], cut[p, q]]
+        y = anc[goal[:, None], q[:, None] - added[p, q]]
+        state = joined[np.searchsorted(key, x * size + y)]
+        cut_peak, grow_peak = tree.parent_peak[x[:, :-1]], tree.parent_peak[y[:, 1:]]
+        peak = np.where(cuts[p, q], cut_peak, 2 * level[x[:, 1:]] + grow_peak)
+        taken = np.arange(width) < (p + q)[:, None]
+        return state[:, :-1][taken], state[:, 1:][taken], peak[taken], cuts[p, q][taken]
+
+    firsts = [(offsets[p], offsets[q] + (p == q), q) for p, q in np.ndindex(n + 1, n + 1)]
+    checked = np.array([(a, b) for a, b, q in firsts if b < offsets[q + 1]])
+    expected = [m for a, b in checked.tolist() for m in canonical_path_with_moves(tree, a, b)[1]]
+    # the basis is ordered by length, so the longer path of a move has the larger index
+    for a, b, peak in expected:
+        walk, shorter = basis.paths[max(a, b)], basis.paths[min(a, b)]
+        if peak not in peak_positions(walk, basis.s) or walk[:peak] + walk[peak + 2 :] != shorter:
+            raise RouteMismatch(f"move {(a, b, peak)} removes no peak")
+    if list(zip(*(part.tolist() for part in routes(*checked.T)[:3]))) != expected:
+        raise RouteMismatch("block routes disagree with canonical_path_with_moves")
+
     pi = transition.stationary
-    loads: dict[tuple[int, int, int], float] = {}
-    longest = 0
-    for a in range(basis.size):
-        for b in range(basis.size):
-            if a == b:
-                continue
-            _, moves = canonical_path_with_moves(tree, a, b)
-            longest = max(longest, len(moves))
-            weight = pi[a] * pi[b]
-            for move in moves:
-                loads[move] = loads.get(move, 0.0) + weight
-    edges = list(loads)
-    a, b, _ = np.array(edges, dtype=np.int64).T
-    # the basis is ordered by length, so the shorter path has the smaller index
+    loads, seen = np.zeros(size * width * 2), np.zeros(size * width * 2, dtype=bool)
+    found = []
+    per = max(1, _EDGE_BLOCK // width)
+    for first in range(0, size * size, per):
+        start, goal = np.divmod(np.arange(first, min(first + per, size * size)), size)
+        start, goal = start[start != goal], goal[start != goal]
+        a, b, peak, shrinks = routes(start, goal)
+        edge = (np.where(shrinks, a, b) * width + peak) * 2 + shrinks  # (longer, peak, cut)
+        fresh = np.stack([a, b, peak, edge])[:, ~seen[edge]]
+        found.append(fresh[:, np.sort(np.unique(fresh[3], return_index=True)[1])])
+        seen[found[-1][3]] = True
+        np.add.at(loads, edge, np.repeat(pi[start] * pi[goal], level[start] + level[goal]))
+    a, b, peak, edge = np.concatenate(found, axis=1)
     ways = np.asarray(basis.removals[np.minimum(a, b), np.maximum(a, b)]).ravel()
-    values = np.fromiter(loads.values(), dtype=float, count=len(edges))
-    values /= pi[a] * (transition.matrix[a, b] / ways)
+    values = loads[edge] / (pi[a] * (transition.matrix[a, b] / ways))
     best = int(np.argmax(values))
     rho = float(values[best])
+    longest = int(level[-2] + level[-1])
     lambda2 = transition.second_eigenvalue()
     gap_true = 1.0 - lambda2
     gap_bound = 1.0 / (rho * longest) if rho > 0 and longest else math.inf
     return EdgeLoadResult(
         dim=basis.size,
         rho=rho,
-        max_edge=edges[best],
+        max_edge=(int(a[best]), int(b[best]), int(peak[best])),
         path_length_max=longest,
         gap_bound=gap_bound,
         lambda2=lambda2,

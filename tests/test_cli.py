@@ -212,6 +212,31 @@ def test_markov_bytes_are_stable(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    ("two_n", "s", "expected"),
+    [
+        (
+            "6", "3",
+            '  "L": 6,\n  "certified": true,\n  "dim": 157,\n'
+            '  "gap_bound": 0.0005740104365534016,\n  "gap_true": 0.008602897282577793,\n'
+            '  "lambda2": 0.9913971027174222,\n  "rho": 290.35476718403055,\n'
+            '  "s": 3,\n  "two_n": 6\n',
+        ),
+        (
+            "10", "1",
+            '  "L": 10,\n  "certified": true,\n  "dim": 65,\n'
+            '  "gap_bound": 0.0002644591339325949,\n  "gap_true": 0.022934289993125634,\n'
+            '  "lambda2": 0.9770657100068744,\n  "rho": 378.13025594150173,\n'
+            '  "s": 1,\n  "two_n": 10\n',
+        ),
+    ],
+)
+def test_markov_certificate_bytes_are_stable(capsys, two_n, s, expected):
+    # recorded from the pair-by-pair edge load that the block routes replaced
+    assert main(["markov", "--two-n", two_n, "--s", s]) == EXIT_OK
+    assert capsys.readouterr().out == "{\n" + expected + "}\n"
+
+
 def _run_fresh(*argv):
     """Run the CLI in a fresh interpreter, so ``--threads`` takes effect."""
     package_root = str(Path(motzkinchain.__file__).resolve().parents[1])

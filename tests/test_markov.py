@@ -3,10 +3,12 @@
 Structural claims (stochasticity, reversibility, matching feasibility,
 tree shape, routing validity) are checked exactly or to 1e-12.  Spectral
 quantities are compared against dense diagonalization, and the congestion
-certificate is recomputed at frozen reference sizes.
+certificate bit for bit against a pair-by-pair edge load and at frozen
+reference sizes.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -14,7 +16,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from motzkinchain.errors import InvalidSpec, SizeExceeded
+from motzkinchain import markov
+from motzkinchain.errors import InvalidSpec, RouteMismatch, SizeExceeded
 from motzkinchain.hamiltonian import ChainSpec, build_hamiltonian, walk_to_index
 from motzkinchain.markov import (
     block_split_weights,
@@ -150,6 +153,36 @@ def route_oracle(tree, start, goal):
         moves.append((a_idx, b_idx, longer_peak))
         turn_shrink = not turn_shrink
     return states, moves
+
+
+def edge_load_oracle(tree, transition):
+    """The edge load routed one ordered pair at a time into a dict.
+
+    Loads add up in (start, goal, step) order, and the largest load is
+    taken in order of first appearance.  Returns ``(rho, max_edge,
+    path_length_max, gap_bound)``.
+    """
+    basis = tree.basis
+    pi = transition.stationary
+    loads = {}
+    longest = 0
+    for a in range(basis.size):
+        for b in range(basis.size):
+            if a == b:
+                continue
+            _, moves = canonical_path_with_moves(tree, a, b)
+            longest = max(longest, len(moves))
+            weight = pi[a] * pi[b]
+            for move in moves:
+                loads[move] = loads.get(move, 0.0) + weight
+    edges = list(loads)
+    a, b, _ = np.array(edges, dtype=np.int64).T
+    ways = np.asarray(basis.removals[np.minimum(a, b), np.maximum(a, b)]).ravel()
+    values = np.fromiter(loads.values(), dtype=float, count=len(edges))
+    values /= pi[a] * (transition.matrix[a, b] / ways)
+    best = int(np.argmax(values))
+    rho = float(values[best])
+    return rho, edges[best], longest, 1.0 / (rho * longest)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +574,54 @@ def test_edge_load_certifies_the_gap(two_n, s):
     )
     assert result.certified()
     assert result.gap_bound <= result.gap_true + 1e-12
+
+
+# every size with at most 300 paths, for one to four colors
+EDGE_LOAD_ORACLE_SIZES = [
+    (two_n, s)
+    for s in (1, 2, 3, 4)
+    for two_n in range(2, 18, 2)
+    if basis_size(two_n // 2, s) <= 300
+]
+
+
+@pytest.mark.parametrize(("two_n", "s"), EDGE_LOAD_ORACLE_SIZES)
+def test_edge_load_equals_pair_by_pair_oracle(two_n, s, monkeypatch):
+    tree = build_canonical_tree(two_n // 2, s)
+    t = build_transition(two_n, s)
+    expected = edge_load_oracle(tree, t)
+    # the default block, then blocks of a few pairs, so loads add up across blocks
+    for block in (markov._EDGE_BLOCK, 64):
+        monkeypatch.setattr(markov, "_EDGE_BLOCK", block)
+        result = edge_load(tree, t)
+        got = (result.rho, result.max_edge, result.path_length_max, result.gap_bound)
+        assert got == expected
+
+
+def test_edge_load_route_check_fails_cleanly():
+    tree = build_canonical_tree(3, 2)
+    t = build_transition(6, 2)
+    peaks = tree.parent_peak.copy()
+    # the first deepest path starts a checked route; one step past its
+    # designated peak is a down step, so no peak starts there
+    peaks[tree.basis.level_offsets[3]] += 1
+    with pytest.raises(RouteMismatch):
+        edge_load(replace(tree, parent_peak=peaks), t)
+    assert edge_load(tree, t).certified()
+
+
+def test_edge_load_memory_peak():
+    # the block cap bounds the working set; 1.95 MiB measured at 2**14 entries
+    tree = build_canonical_tree(4, 2)
+    t = build_transition(8, 2)
+    edge_load(tree, t)
+    tracemalloc.start()
+    try:
+        edge_load(tree, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_edge_load_frozen_reference():
