@@ -22,17 +22,6 @@ class DomainError(MotzkinChainError, ValueError):
     """A numeric argument lies outside the mathematical domain of the call."""
 
 
-class ParseError(MotzkinChainError, ValueError):
-    """Walk text could not be decoded.
-
-    ``offset`` is the byte offset of the first offending token in the input.
-    """
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
-        self.offset = offset
-
-
 class NoConvergence(MotzkinChainError, RuntimeError):
     """An iterative eigensolve failed its residual certificate.
 

@@ -196,6 +196,8 @@ def integrate_density(
     Doubles the panel count until two successive refinements agree within
     ``QUADRATURE_TOL``; the last change is the reported error estimate.
     """
+    if not 0 < max_panel_width < math.inf:
+        raise DomainError(f"the panel width must be finite and positive, got {max_panel_width}")
     lo, hi = QUADRATURE_RANGE
     nodes, gauss_w = leggauss(16)
     panels = max(8, int(math.ceil((hi - lo) / max_panel_width)))
@@ -222,6 +224,8 @@ def characteristic_FA(theta: float, density: ExcursionDensity | None = None) -> 
     Resolves the oscillation by capping panel widths at ``1/(4|theta|)``
     and refining until the estimated error drops below 1e-6.
     """
+    if not math.isfinite(theta):
+        raise DomainError(f"the frequency must be finite, got {theta}")
     if abs(theta) > 100:
         raise InvalidSpec("|theta| above 100 is outside the supported range")
     if density is None:

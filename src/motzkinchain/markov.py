@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 
@@ -382,6 +381,9 @@ def rounded_matching_level(m: int) -> dict[Shape, tuple[Shape, int]]:
     mass.  Returns, per shape, its parent and the lowest peak index whose
     removal realizes it.
     """
+    # imported here, its only use, so that importing the module stays cheap
+    import networkx as nx
+
     rows = fractional_matching_level(m)
     shapes = list(rows)
     parents = _uncolored_level(m - 1)
@@ -439,10 +441,6 @@ class CanonicalTree:
     basis: DyckBasis
     parent: np.ndarray
     parent_peak: np.ndarray
-    children: tuple[tuple[int, ...], ...]
-
-    def child_counts(self) -> np.ndarray:
-        return np.array([len(c) for c in self.children], dtype=np.int64)
 
     def ancestors(self, i: int) -> list[int]:
         """Indices from ``i`` down to the root, inclusive."""
@@ -464,22 +462,14 @@ def build_canonical_tree(n: int, s: int) -> CanonicalTree:
     basis = dyck_basis(n, s)
     parent = np.full(basis.size, -1, dtype=np.int64)
     parent_peak = np.full(basis.size, -1, dtype=np.int64)
-    children: list[list[int]] = [[] for _ in range(basis.size)]
     for m in range(1, n + 1):
         assignment = rounded_matching_level(m)
         for i in range(*basis.level_slice(m).indices(basis.size)):
             walk = basis.paths[i]
             _, peak = assignment[_shape_of(walk, s)]
-            up_idx = basis.index[remove_peak(walk, peak, s)]
-            parent[i] = up_idx
+            parent[i] = basis.index[remove_peak(walk, peak, s)]
             parent_peak[i] = peak
-            children[up_idx].append(i)
-    return CanonicalTree(
-        basis=basis,
-        parent=parent,
-        parent_peak=parent_peak,
-        children=tuple(tuple(c) for c in children),
-    )
+    return CanonicalTree(basis=basis, parent=parent, parent_peak=parent_peak)
 
 
 def _turns(p: int, q: int) -> list[bool]:
@@ -642,7 +632,7 @@ def level_fraction(two_n: int, s: int, w: int) -> float:
     )
 
 
-def level_weight_ratio(w: int, s: int) -> float:
+def level_weight_ratio(w: int) -> float:
     """How closely ``(4s)^w`` times a path's stationary weight tracks the level share.
 
     A single level ``w`` path has stationary weight ``binom(2n,2w)/M_{2n,s}``

@@ -70,9 +70,6 @@ class SchmidtSpectrum:
         m = np.arange(self.n + 1)
         return m * math.log(self.s) + self.log_probability
 
-    def normalization_defect(self) -> float:
-        return abs(float(np.exp(self.log_weight()).sum()) - 1.0)
-
 
 def schmidt_spectrum(table: CountTable) -> SchmidtSpectrum:
     logp = 2.0 * table.log_halfwalk - table.log_total
@@ -163,9 +160,11 @@ def saddle_point(n: int, m: int, s: int) -> float:
 def halfwalk_term_argmax(n: int, m: int, s: int) -> int:
     """Index ``i`` (number of matched pairs) maximizing the summand of
     ``M(n,m,s)``; the saddle-point formula approximates this."""
+    if not 0 <= m <= n or s < 1:
+        raise InvalidSpec("need 0 <= m <= n and s >= 1")
     if n <= EXACT_LIMIT:
         terms = halfwalk_term_row(n, m, s)
-        return max(range(len(terms)), key=terms.__getitem__, default=0)
+        return max(range(len(terms)), key=terms.__getitem__)
     return int(np.argmax(next(log_halfwalk_terms(n, s, m, m + 1))[0]))
 
 

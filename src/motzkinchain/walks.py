@@ -24,17 +24,15 @@ external-field modules.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
-from .errors import DomainError, InvalidSpec, ParseError, SizeExceeded
+from .errors import DomainError, InvalidSpec, SizeExceeded
 
 EXACT_LIMIT = 300
 ENUMERATION_GUARD = 10**8
@@ -49,78 +47,26 @@ def encode_walk(walk: Sequence[int], s: int) -> str:
     )
 
 
-def decode_walk(text: str, s: int) -> tuple[int, ...]:
-    """Parse the token format produced by :func:`encode_walk`.
+def enumerate_walks(length: int, colors: int, kind: str) -> Iterator[tuple[int, ...]]:
+    """Yield the complete walks of the given length in canonical lexicographic order.
 
-    Raises :class:`ParseError` carrying the byte offset of the first bad
-    token, including a color outside ``1..s``.  Empty input decodes to the
-    empty walk.
-    """
-    digits: list[int] = []
-    offset = 0
-    n = len(text)
-    while offset < n:
-        if text[offset] == " ":
-            offset += 1
-            continue
-        end = text.find(" ", offset)
-        if end == -1:
-            end = n
-        token = text[offset:end]
-        if token == "0":
-            digits.append(0)
-        elif token[0] in "ud" and token[1:].isdigit():
-            color = int(token[1:])
-            if not 1 <= color <= s:
-                raise ParseError(f"color in token {token!r} must lie in 1..{s}", offset)
-            digits.append(color if token[0] == "u" else s + color)
-        else:
-            raise ParseError(f"unrecognized token {token!r}", offset)
-        offset = end
-    return tuple(digits)
-
-
-def enumerate_walks(
-    length: int,
-    colors: int,
-    kind: str = "all",
-    target_height: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield walks of the given length in canonical lexicographic order.
-
-    ``kind`` selects the family:
-
-    * ``"all"``: every string over the (2s+1)-letter alphabet;
-    * ``"motzkin"``: complete colored Motzkin walks;
-    * ``"dyck"``: complete colored Dyck walks (no flat steps);
-    * ``"end-height"``: valid prefixes ending at ``target_height``.
-
-    Filtered kinds are generated by depth-first search that prunes invalid
-    prefixes, so only viable walks are visited.  The guard therefore bounds
-    the number of walks the request would yield, not the raw candidate
-    space; counts beyond ``ENUMERATION_GUARD`` raise :class:`SizeExceeded`.
+    ``kind`` is ``"motzkin"`` for colored Motzkin walks or ``"dyck"`` for
+    colored Dyck walks (no flat steps).  A depth-first search prunes
+    invalid prefixes, so only viable walks are visited.  The guard therefore
+    bounds the number of walks the request would yield, not the raw
+    candidate space; counts beyond ``ENUMERATION_GUARD`` raise
+    :class:`SizeExceeded`.
     """
     if length < 0 or colors < 1:
         raise InvalidSpec("length must be >= 0 and colors >= 1")
-    if kind not in ("all", "motzkin", "dyck", "end-height"):
-        raise InvalidSpec(f"unknown walk family {kind!r}")
-    if kind == "end-height":
-        if target_height is None:
-            raise InvalidSpec("end-height enumeration needs target_height")
-        if target_height < 0:
-            raise InvalidSpec("target_height must be >= 0")
-    elif target_height is not None:
-        raise InvalidSpec(f"target_height does not apply to kind {kind!r}")
-    if kind == "all":
-        yield_count = (2 * colors + 1) ** length
-    elif kind == "dyck":
+    if kind == "dyck":
         yield_count = (
             0 if length % 2 else colors ** (length // 2) * catalan_number(length // 2)
         )
     elif kind == "motzkin":
         yield_count = motzkin_number(length, colors)
     else:
-        yield_count = colored_halfwalk_count(length, target_height, colors)
+        raise InvalidSpec(f"unknown walk family {kind!r}")
     if yield_count > ENUMERATION_GUARD:
         raise SizeExceeded(
             f"{yield_count} walks of kind {kind!r} exceed the enumeration "
@@ -128,22 +74,17 @@ def enumerate_walks(
         )
 
     ups = list(range(1, colors + 1))
-    if kind == "all":
-        yield from itertools.product([0, *range(colors + 1, 2 * colors + 1), *ups], repeat=length)
-        return
-
-    goal = 0 if kind in ("motzkin", "dyck") else target_height
-    flats = [0] if kind != "dyck" else []
+    flats = [0] if kind == "motzkin" else []
     prefix: list[int] = []
     stack: list[int] = []
 
     def rec(remaining: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            if len(stack) == goal:
+            if not stack:
                 yield tuple(prefix)
             return
-        # the walk cannot come back far enough, or cannot climb high enough
-        if len(stack) - remaining > goal or len(stack) + remaining < goal:
+        # the walk cannot come back down in time
+        if len(stack) > remaining:
             return
         # canonical order: flat, the one down step that closes the top open
         # color, then the ups
@@ -378,15 +319,6 @@ def _log_halfwalk(n: int, s: int, m_start: int, m_stop: int) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def log_colored_halfwalk_count(n: int, m: int, s: int) -> float:
-    """Log-space version of :func:`colored_halfwalk_count`."""
-    if s < 1:
-        raise InvalidSpec("color count s must be >= 1")
-    if m < 0 or m > n:
-        return -math.inf
-    return float(_log_halfwalk(n, s, m, m + 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # CountTable
 # ---------------------------------------------------------------------------
@@ -443,9 +375,3 @@ class CountTable:
         """Log of ``s**m * p_m`` for each ``m``; the weights sum to one."""
         m = np.arange(self.n + 1)
         return m * math.log(self.s) + 2.0 * self.log_halfwalk - self.log_total
-
-    def schmidt_probability(self, m: int) -> Fraction:
-        """Exact Schmidt coefficient ``halfwalk[m]**2 / total`` (exact mode only)."""
-        if self.halfwalk is None:
-            raise InvalidSpec("exact Schmidt probabilities need an exact table")
-        return Fraction(self.halfwalk[m] ** 2, self.total)

@@ -40,12 +40,6 @@ def digits_form_walk(digits, s):
     return stack is not None and not stack
 
 
-def is_valid_prefix(digits, s):
-    """True when the string never dips below zero and every close letter
-    meets an open letter of its own color."""
-    return scan_digits(digits, s) is not None
-
-
 def is_dyck(digits, s):
     """True for a complete properly matched walk with no flat sites."""
     return 0 not in digits and digits_form_walk(digits, s)

@@ -341,7 +341,7 @@ def test_criterion_07_dyck_walk_certificates():
                 f"2n={two_n} s={s}: gap identity off by {identity_dev:.2e}",
             )
             tree = build_canonical_tree(two_n // 2, s)
-            counts = tree.child_counts()
+            counts = np.bincount(tree.parent[1:], minlength=tree.basis.size)
             internal = tree.basis.level_of < two_n // 2
             _check(
                 failures,

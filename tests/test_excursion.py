@@ -15,6 +15,7 @@ import pytest
 from scipy.special import ai_zeros
 
 from conftest import digits_form_walk, heights_of_digits, iter_matched_digit_strings
+from motzkinchain import excursion
 from motzkinchain.errors import (
     DomainError,
     InvalidSpec,
@@ -44,7 +45,7 @@ from motzkinchain.hamiltonian import (
     motzkin_indices,
 )
 from motzkinchain.schmidt import sigma
-from motzkinchain.walks import decode_walk, halfwalk_table, motzkin_number
+from motzkinchain.walks import halfwalk_table, motzkin_number
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +176,25 @@ def test_transform_is_tiny_at_inverse_std():
 def test_transform_frequency_cap():
     with pytest.raises(InvalidSpec):
         characteristic_FA(101.0)
+
+
+def test_transform_rejects_a_non_finite_frequency_before_any_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(excursion, "integrate_density", no_quadrature)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            characteristic_FA(theta, density=object())
+
+
+@pytest.mark.parametrize("width", [0.0, -0.1, math.nan, math.inf])
+def test_quadrature_rejects_a_panel_width_that_is_not_finite_and_positive(width):
+    def no_density(points):
+        raise AssertionError("density evaluated")
+
+    with pytest.raises(DomainError):
+        integrate_density(no_density, max_panel_width=width)
 
 
 def test_rectangle_pair_straddles_the_mode():
@@ -435,14 +455,14 @@ class TrialState:
 def test_trial_state_amplitudes():
     state = TrialState(two_n=6, s=1, theta_tilde=0.1)
     assert state.string_count == motzkin_number(6, 1)
-    walk = decode_walk("u1 0 d1 u1 d1 0", 1)
+    walk = (1, 0, 2, 1, 2, 0)  # u1 0 d1 u1 d1 0
     area = 1 + 1 + 0 + 1 + 0 + 0
     expected = cmath.exp(2j * math.pi * 0.1 * area) / math.sqrt(state.string_count)
     assert state.amplitude_of(walk) == pytest.approx(expected, abs=1e-15)
     with pytest.raises(InvalidSpec):
-        state.amplitude_of(decode_walk("u1 d1", 1))
+        state.amplitude_of((1, 2))
     with pytest.raises(InvalidSpec):
-        state.amplitude_of(decode_walk("u1 u1 d1 d1 u1 0", 1))
+        state.amplitude_of((1, 1, 2, 2, 1, 0))
 
 
 def test_trial_size_guards():

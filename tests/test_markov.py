@@ -8,14 +8,19 @@ reference sizes.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import motzkinchain
 from motzkinchain import markov
 from motzkinchain.errors import InvalidSpec, RouteMismatch, SizeExceeded
 from motzkinchain.hamiltonian import ChainSpec, build_hamiltonian, walk_to_index
@@ -38,7 +43,7 @@ from motzkinchain.markov import (
     rounded_matching_level,
 )
 from motzkinchain.errors import MatchingInfeasible
-from motzkinchain.walks import catalan_number, decode_walk, motzkin_number
+from motzkinchain.walks import catalan_number, motzkin_number
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +244,7 @@ def test_dyck_basis_guard_and_validation():
 
 
 def test_peak_surgery_round_trip():
-    walk = decode_walk("u1 u1 d1 d1 u1 d1", 1)
+    walk = (1, 1, 2, 2, 1, 2)  # u1 u1 d1 d1 u1 d1
     peaks = peak_positions(walk, 1)
     assert peaks == [1, 4]
     for i in peaks:
@@ -259,16 +264,16 @@ def test_peak_surgery_round_trip():
 
 def test_embed_empty_path_is_flat_string():
     image = embed_uniform((), 2)
-    assert image == {decode_walk("0 0", 1): 1.0}
+    assert image == {(0, 0): 1.0}
 
 
 def test_embed_single_arch_spreads_uniformly():
-    image = embed_uniform(decode_walk("u1 d1", 1), 4)
+    image = embed_uniform((1, 2), 4)
     assert len(image) == 6
     for walk, amp in image.items():
         assert amp == pytest.approx(1.0 / math.sqrt(6.0))
         letters = [letter for letter in walk if letter != 0]
-        assert letters == list(decode_walk("u1 d1", 1))
+        assert letters == [1, 2]
 
 
 def test_embedding_is_an_isometry():
@@ -502,8 +507,7 @@ def test_canonical_tree_structure(n, s):
         p = int(tree.parent[i])
         pk = int(tree.parent_peak[i])
         assert basis.paths[p] == remove_peak(basis.paths[i], pk, s)
-        assert i in tree.children[p]
-    counts = tree.child_counts()
+    counts = np.bincount(tree.parent[1:], minlength=basis.size)
     assert counts[0] == s  # the root holds every single-arch path
     internal = basis.level_of < n
     assert counts[internal].min() >= s
@@ -668,11 +672,41 @@ def test_level_fractions_sum_to_one():
 
 
 def test_level_weight_ratio_tends_to_one():
-    assert abs(level_weight_ratio(20, 1) - 1.0) < 0.1
-    assert abs(level_weight_ratio(40, 2) - 1.0) < abs(level_weight_ratio(20, 2) - 1.0)
-    assert level_weight_ratio(20, 1) == level_weight_ratio(20, 5)
+    assert abs(level_weight_ratio(20) - 1.0) < 0.1
+    assert abs(level_weight_ratio(40) - 1.0) < abs(level_weight_ratio(20) - 1.0)
     with pytest.raises(InvalidSpec):
-        level_weight_ratio(0, 1)
+        level_weight_ratio(0)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_level_weight_ratio_is_the_weight_over_share_identity(s):
+    # (4s)^w (one path's stationary weight) / (sqrt(pi) w^{3/2} level share)
+    two_n = 8
+    basis = dyck_basis(two_n // 2, s)
+    weights = ground_weights(basis)
+    for w in range(1, two_n // 2 + 1):
+        path_weight = weights[basis.level_slice(w)][0]
+        share = level_fraction(two_n, s, w)
+        ratio = (4 * s) ** w * path_weight / (math.sqrt(math.pi) * w**1.5 * share)
+        assert ratio == pytest.approx(level_weight_ratio(w), rel=1e-13)
+
+
+def test_importing_markov_and_solving_the_walk_leaves_networkx_unloaded():
+    # only the level matchings need networkx; the transition and its gap do not
+    package_root = str(Path(motzkinchain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from motzkinchain.markov import build_transition\n"
+        "build_transition(8, 1).second_eigenvalue()\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ force runs at small sizes, plus closed-form and asymptotic checks.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def test_spectrum_single_site_two_colors():
 def test_spectrum_normalizes(s):
     for n in (2, 9, 33):
         spec = schmidt_spectrum(CountTable.build(n, s))
-        assert spec.normalization_defect() < 1e-12
+        assert abs(np.exp(spec.log_weight()).sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize(("n", "s"), [(2, 1), (3, 1), (2, 2), (3, 2)])
@@ -133,10 +134,9 @@ def test_spectrum_matches_brute_svd(n, s):
     brute = np.sort(brute_schmidt_values(n, s))[::-1]
     brute = brute[brute > 1e-12] ** 2
     table = CountTable.build(n, s)
-    expanded = []
-    for m in range(n + 1):
-        p = float(table.schmidt_probability(m))
-        expanded.extend([p] * s**m)
+    exact = [float(Fraction(table.halfwalk[m] ** 2, table.total)) for m in range(n + 1)]
+    np.testing.assert_allclose(np.exp(schmidt_spectrum(table).log_probability), exact, rtol=1e-14)
+    expanded = [p for m, p in enumerate(exact) for _ in range(s**m)]
     expected = np.sort(np.array(expanded))[::-1]
     np.testing.assert_allclose(brute, expected, atol=1e-12)
 
@@ -235,6 +235,16 @@ def test_saddle_point_tracks_term_argmax():
     # 128 was recorded from the per-height log-space loop the chunked term rows replaced
     assert halfwalk_term_argmax(400, 40, 2) == 128
     assert abs(halfwalk_term_argmax(400, 40, 2) - saddle_point(400, 40, 2)) <= 2
+
+
+@pytest.mark.parametrize(
+    ("n", "m", "s"),
+    [(400, 500, 1), (400, -1, 1), (400, 40, 0), (100, 101, 1), (100, -1, 1), (100, 4, 0)],
+)
+def test_term_argmax_rejects_heights_outside_the_walk_and_bad_colors(n, m, s):
+    # n = 400 takes the log-space branch, n = 100 the exact one
+    with pytest.raises(InvalidSpec):
+        halfwalk_term_argmax(n, m, s)
 
 
 def test_weight_peak_near_predicted_height():

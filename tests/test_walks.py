@@ -21,23 +21,20 @@ from conftest import (
     digits_form_walk,
     heights_of_digits,
     is_dyck,
-    is_valid_prefix,
     iter_matched_digit_strings,
 )
-from motzkinchain.errors import DomainError, InvalidSpec, ParseError, SizeExceeded
+from motzkinchain.errors import DomainError, InvalidSpec, SizeExceeded
 from motzkinchain.walks import (
     CountTable,
     ballot_count,
     binomial,
     catalan_number,
     colored_halfwalk_count,
-    decode_walk,
     dyck_area_total,
     encode_walk,
     enumerate_walks,
     full_walk_count,
     halfwalk_table,
-    log_colored_halfwalk_count,
     motzkin_number,
 )
 
@@ -53,53 +50,18 @@ def test_encode_basic_tokens():
     assert encode_walk((2, 0, 4), 2) == "u2 0 d2"
 
 
-def test_decode_empty_is_empty_walk():
-    assert decode_walk("", 2) == ()
-
-
-def test_decode_bad_token_reports_offset():
-    with pytest.raises(ParseError) as info:
-        decode_walk("u1 x", 1)
-    assert info.value.offset == 3
-
-
-def test_decode_rejects_zero_color():
-    with pytest.raises(ParseError):
-        decode_walk("u0", 1)
-
-
-def test_decode_rejects_color_above_s():
-    assert decode_walk("u1 d3", 3) == (1, 6)
-    with pytest.raises(ParseError) as info:
-        decode_walk("u1 d3", 2)
-    assert info.value.offset == 3
-
-
-@st.composite
-def random_walks(draw):
-    s = draw(st.integers(min_value=1, max_value=3))
-    digits = draw(st.lists(st.integers(min_value=0, max_value=2 * s), max_size=12))
-    return tuple(digits), s
-
-
-@given(random_walks())
-@settings(max_examples=60, deadline=None)
-def test_token_round_trip(walk_and_s):
-    walk, s = walk_and_s
-    assert decode_walk(encode_walk(walk, s), s) == walk
-
-
 # ---------------------------------------------------------------------------
 # Validity predicates
 # ---------------------------------------------------------------------------
 
 
 def test_two_flats_are_motzkin():
-    assert digits_form_walk(decode_walk("0 0", 1), 1)
+    assert digits_form_walk((0, 0), 1)
 
 
 def test_crossed_colors_are_not_motzkin():
-    assert not digits_form_walk(decode_walk("u1 d2", 2), 2)
+    # u1 d2 with two colors
+    assert not digits_form_walk((1, 4), 2)
 
 
 def test_length_two_motzkin_set_two_colors():
@@ -109,16 +71,12 @@ def test_length_two_motzkin_set_two_colors():
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_predicates_match_digit_scan(s):
-    # every string is a valid prefix, a Motzkin walk or a Dyck walk exactly
-    # when the matching filtered enumeration yields it
+    # every string is a Motzkin walk or a Dyck walk exactly when the
+    # matching filtered enumeration yields it
     for length in range(5):
-        prefixes = {
-            w for m in range(length + 1) for w in enumerate_walks(length, s, "end-height", m)
-        }
         motzkin = set(enumerate_walks(length, s, kind="motzkin"))
         dyck = set(enumerate_walks(length, s, kind="dyck"))
-        for walk in enumerate_walks(length, s, kind="all"):
-            assert is_valid_prefix(walk, s) == (walk in prefixes)
+        for walk in all_digit_strings(length, s):
             assert digits_form_walk(walk, s) == (walk in motzkin)
             assert is_dyck(walk, s) == (walk in dyck)
 
@@ -133,7 +91,7 @@ def test_enumerate_length_four_motzkin_count():
 
 
 def test_enumerate_length_zero_yields_empty_walk():
-    for kind in ("all", "motzkin", "dyck"):
+    for kind in ("motzkin", "dyck"):
         assert list(enumerate_walks(0, 3, kind=kind)) == [()]
 
 
@@ -155,37 +113,24 @@ def test_enumerate_dyck_is_flatless_motzkin():
         assert dycks == flatless
 
 
-def test_enumerate_end_height_matches_oracle():
-    for s in (1, 2):
-        for length in range(5):
-            for m in range(length + 1):
-                got = set(enumerate_walks(length, s, kind="end-height", target_height=m))
-                expected = set(iter_matched_digit_strings(length, s, end_opens=m))
-                assert got == expected
-
-
 def test_enumerate_alphabet_in_canonical_order():
     # flat, then downs, then ups, colors ascending within a kind
-    assert list(enumerate_walks(1, 2)) == [(0,), (3,), (4,), (1,), (2,)]
+    assert list(enumerate_walks(4, 1, "motzkin"))[:4] == [
+        (0, 0, 0, 0), (0, 0, 1, 2), (0, 1, 0, 2), (0, 1, 2, 0)
+    ]
     assert list(enumerate_walks(4, 2, kind="dyck"))[:3] == [(1, 3, 1, 3), (1, 3, 2, 4), (1, 1, 3, 3)]
 
 
 # SHA-256 of every walk's token text, one line each, in enumeration order,
-# over lengths 0..6 (and every end height); recorded from the Step/Walk
-# implementation these digit tuples replaced
+# over lengths 0..6; recorded from the Step/Walk implementation these digit
+# tuples replaced
 ENUMERATION_SHA256 = {
-    ("all", 1): "c3e28afd2b60d2b53e49bf1e676f6be08cc301daf90873c9d344dfd653e8b49f",
-    ("all", 2): "87970f4dd27974d8bc5756bf2514b9f66a4ae261656d87c21f68eff3e880885c",
-    ("all", 3): "a800068fb3eadf529e3261e76815a382d9f57683107153da15a1eddd9197f20d",
     ("motzkin", 1): "5fa4d902ba4a1799777ffcf2905f304076e5b83f2385e1566970638a055e7b30",
     ("motzkin", 2): "4481f07cee79faae940fbf84571334100f8e706d061d45cf79097be9a633f2cb",
     ("motzkin", 3): "70dc217a120191de269af6c7a8b1783744a177432c1d64dabff31eade8d940a2",
     ("dyck", 1): "edb2f345a5382d6a54912025f454ba04e51740def55eb53dfefb51782451bcc9",
     ("dyck", 2): "1a3bfe137f0a0a3bc425c0c846d88b663b65ff27a769f6dd75dd8f2956bb605f",
     ("dyck", 3): "6bcc1cd130377b58fd1241cf572be8d8e05a06b09fd48780cd6ca3e680deda0b",
-    ("end-height", 1): "32db3e0bba735453732f8e6e71ae954dc30a6e8dffe147fc06f7d03c391a73a0",
-    ("end-height", 2): "49e75b2346c0e5233c049e8f0c62a6dcacbb3eecd44e654bf1bcf758a4432772",
-    ("end-height", 3): "6d19ec98ab0c860dd5f1939429c4fb4044d6b28f8552e6b3dad40949ef3d05f8",
 }
 
 
@@ -193,27 +138,25 @@ ENUMERATION_SHA256 = {
 def test_enumeration_tokens_are_byte_stable(kind, s):
     digest = hashlib.sha256()
     for length in range(7):
-        for m in range(length + 1) if kind == "end-height" else [None]:
-            digest.update(f"# {length} {m}\n".encode())
-            for walk in enumerate_walks(length, s, kind, m):
-                digest.update((encode_walk(walk, s) + "\n").encode())
+        # the recorded header names the length and an end height that
+        # complete walks do not have
+        digest.update(f"# {length} None\n".encode())
+        for walk in enumerate_walks(length, s, kind):
+            digest.update((encode_walk(walk, s) + "\n").encode())
     assert digest.hexdigest() == ENUMERATION_SHA256[(kind, s)]
 
 
 def test_enumerate_guard_refuses_huge_requests():
     with pytest.raises(SizeExceeded):
-        next(enumerate_walks(100, 3, kind="all"))
+        next(enumerate_walks(40, 3, kind="motzkin"))
 
 
 def test_enumerate_argument_validation():
     with pytest.raises(InvalidSpec):
-        list(enumerate_walks(2, 0))
-    with pytest.raises(InvalidSpec):
-        list(enumerate_walks(2, 1, kind="spiral"))
-    with pytest.raises(InvalidSpec):
-        list(enumerate_walks(2, 1, kind="end-height"))
-    with pytest.raises(InvalidSpec):
-        list(enumerate_walks(2, 1, kind="motzkin", target_height=1))
+        list(enumerate_walks(2, 0, "motzkin"))
+    for kind in ("spiral", "all", "end-height"):
+        with pytest.raises(InvalidSpec):
+            list(enumerate_walks(2, 1, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +338,9 @@ def test_mean_area_approaches_three_halves_power_law():
     assert deviations[-1] < 0.01
 
 
-def test_walk_area_on_tokens():
-    assert sum(heights_of_digits(decode_walk("u1 u1 d1 d1", 1), 1)) == 1 + 2 + 1 + 0
+def test_walk_area_on_digits():
+    # u1 u1 d1 d1
+    assert sum(heights_of_digits((1, 1, 2, 2), 1)) == 1 + 2 + 1 + 0
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +391,10 @@ def test_log_binomial_scalar_and_array():
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_log_count_matches_exact(s):
     for n in (5, 40, 120):
+        logs = CountTable.build(n, s, mode="log").log_halfwalk
         for m in range(0, n + 1, max(1, n // 7)):
             exact = colored_halfwalk_count(n, m, s)
-            got = log_colored_halfwalk_count(n, m, s)
-            assert got == pytest.approx(math.log(exact), rel=1e-12)
+            assert logs[m] == pytest.approx(math.log(exact), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +404,16 @@ def test_log_count_matches_exact(s):
 
 def test_count_table_probabilities_one_color():
     table = CountTable.build(1, 1)
-    assert table.schmidt_probability(0) == Fraction(1, 2)
-    assert table.schmidt_probability(1) == Fraction(1, 2)
+    assert Fraction(table.halfwalk[0] ** 2, table.total) == Fraction(1, 2)
+    assert Fraction(table.halfwalk[1] ** 2, table.total) == Fraction(1, 2)
 
 
 def test_count_table_probabilities_two_colors():
     table = CountTable.build(1, 2)
     assert table.halfwalk == [1, 1]
     assert table.total == 3
-    assert table.schmidt_probability(0) == Fraction(1, 3)
-    assert table.schmidt_probability(1) == Fraction(1, 3)  # multiplicity 2
+    assert Fraction(table.halfwalk[0] ** 2, table.total) == Fraction(1, 3)
+    assert Fraction(table.halfwalk[1] ** 2, table.total) == Fraction(1, 3)  # multiplicity 2
 
 
 @pytest.mark.parametrize("s", [1, 2, 4])
@@ -506,8 +450,6 @@ def test_log_table_matches_per_height_loop_bit_for_bit(n, s):
     log_total = peak + math.log(float(np.sum(np.exp(weights - peak))))
     assert np.array_equal(table.log_halfwalk, logs)
     assert table.log_total == log_total
-    for m in (0, n // 2, n):
-        assert log_colored_halfwalk_count(n, m, s) == logs[m]
 
 
 def test_log_table_memory_stays_linear():
@@ -533,8 +475,6 @@ def test_count_table_guards():
         CountTable.build(301, 1, mode="exact")
     with pytest.raises(InvalidSpec):
         CountTable.build(5, 1, mode="fast")
-    with pytest.raises(InvalidSpec):
-        CountTable.build(400, 1, mode="log").schmidt_probability(0)
     with pytest.raises(DomainError):
         CountTable.build(-1, 1)
     with pytest.raises(InvalidSpec):
