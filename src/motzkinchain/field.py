@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, InvalidSpec, SizeExceeded
 from .hamiltonian import ChainSpec, build_hamiltonian, local_move_classes, lowest_spectrum
 from .schmidt import sigma
-from .walks import EXACT_LIMIT, halfwalk_term_row, log_halfwalk_terms
+from .walks import EXACT_LIMIT, _logsumexp, halfwalk_term_row, log_halfwalk_terms
 
 LOG_LIMIT = 2000
 
@@ -62,8 +61,8 @@ def field_expectation_exact(n: int, m: int, s: int) -> float:
     if pairs_max == 0:
         return float(m)
     log_terms = next(log_halfwalk_terms(n, s, m, m + 1))[0]
-    log_den = logsumexp(log_terms)
-    log_num = logsumexp(log_terms[1:] + np.log(np.arange(1, pairs_max + 1)))
+    log_den = _logsumexp(log_terms)
+    log_num = _logsumexp(log_terms[1:] + np.log(np.arange(1, pairs_max + 1)))
     return m + 2.0 * math.exp(log_num - log_den)
 
 

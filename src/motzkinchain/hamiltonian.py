@@ -75,10 +75,15 @@ class ChainSpec:
 
 @dataclass
 class SparseOperator:
-    """A real symmetric operator with its assembly metadata."""
+    """A real symmetric operator with its assembly metadata.
+
+    ``spec`` is set on a full chain Hamiltonian; :func:`lowest_spectrum`
+    reads it to map sectors onto each other (:func:`_symmetry_maps`).
+    """
 
     matrix: sp.csr_matrix
     name: str
+    spec: ChainSpec | None = None
 
     @property
     def dim(self) -> int:
@@ -222,7 +227,7 @@ def build_hamiltonian(spec: ChainSpec) -> SparseOperator:
         total += sp.diags(
             (spec.field_epsilon0 / spec.two_n) * field_diagonal(spec.two_n, spec.s)
         )
-    op = SparseOperator(matrix=total.tocsr(), name=f"H[{spec.boundary}]")
+    op = SparseOperator(matrix=total.tocsr(), name=f"H[{spec.boundary}]", spec=spec)
     defect = op.symmetry_defect()
     if defect > 1e-14:
         raise InvalidSpec(f"assembled operator lost symmetry (defect {defect:g})")
@@ -298,6 +303,8 @@ class SpectrumResult:
     norm_bound: float
     method: str
     vectors: np.ndarray
+    sector_count: int
+    sectors_solved: int
 
     @property
     def lambda1(self) -> float:
@@ -320,6 +327,101 @@ def sector_split(matrix: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     count, sector_of = csgraph.connected_components(matrix != 0, directed=False)
     return sector_of, np.bincount(sector_of, minlength=count)
+
+
+def _relabel(two_n: int, d: int, letters: np.ndarray, reverse: bool) -> np.ndarray:
+    """Index of every configuration after each digit ``c`` becomes
+    ``letters[c]`` and, when ``reverse``, the sites are read backwards."""
+    rest = np.arange(d**two_n, dtype=np.int32)
+    out = np.zeros_like(rest)
+    for place in range(two_n):  # place 0 is the last site
+        digit = rest % d
+        rest //= d
+        out += letters[digit] * np.int32(d ** (two_n - 1 - place if reverse else place))
+    return out
+
+
+def _symmetry_maps(spec: ChainSpec) -> list[np.ndarray]:
+    """Index maps ``p`` of the chain with ``H[p[i], p[j]] == H[i, j]``.
+
+    The mirror reverses the string and swaps each color's left and right
+    letter: it exchanges ``shift-right-k`` with ``shift-left-k`` and the two
+    boundary penalties, and keeps ``create-pair-k``, ``cross``, the wrap
+    pair and the field.  For ``s >= 2`` the transposition of colors ``c``
+    and ``c + 1`` relabels the letters only, and every term treats the
+    colors alike.
+    """
+    s, d = spec.s, spec.d
+    letters = np.arange(d, dtype=np.int32)
+    mirror = np.concatenate(([0], letters[s + 1:], letters[1:s + 1]))
+    maps = [_relabel(spec.two_n, d, mirror, reverse=True)]
+    for c in range(1, s):
+        swap = letters.copy()
+        swap[[c, c + 1, s + c, s + c + 1]] = [c + 1, c, s + c + 1, s + c]
+        maps.append(_relabel(spec.two_n, d, swap, reverse=False))
+    return maps
+
+
+def _sector_orbits(
+    matrix: sp.csr_matrix, sector_of: np.ndarray, maps: Sequence[np.ndarray], tolerance: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the sectors under index maps that commute with ``matrix``.
+
+    Each map must carry whole sectors onto sectors and satisfy
+    ``|P H P^T - H|_inf <= tolerance``, else :class:`InvalidSpec`.  The
+    representative of an orbit is its lowest-numbered sector.  Returns per
+    sector its representative, the sector it is reached from and the map
+    that reaches it: ``maps[via[b]]`` carries the members of ``source[b]``
+    onto those of ``b``.  A representative is its own source, with
+    ``via`` -1.
+    """
+    count = int(sector_of.max()) + 1
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(sector_of), prepend=-1))
+    images = []
+    for p in maps:
+        image = sector_of[p[first]]
+        if np.any(sector_of[p] != image[sector_of]):
+            raise InvalidSpec("a symmetry map splits a sector")
+        delta = matrix[p][:, p] - matrix
+        defect = float(np.max(abs(delta).sum(axis=1))) if delta.nnz else 0.0
+        if defect > tolerance:
+            raise InvalidSpec(f"a symmetry map misses the operator by {defect:.3e}")
+        images.append(image)
+    edges = np.concatenate(images)
+    graph = sp.csr_matrix(
+        (np.ones(edges.size), (np.tile(np.arange(count), len(maps)), edges)),
+        shape=(count, count),
+    )
+    _, orbit = csgraph.connected_components(graph, directed=False)
+    representative = np.unique(orbit, return_index=True)[1][orbit]
+    source = np.arange(count)
+    via = np.full(count, -1)
+    known = representative == source
+    while not known.all():
+        for g, image in enumerate(images):
+            fresh = np.flatnonzero(known & ~known[image])
+            source[image[fresh]] = fresh
+            via[image[fresh]] = g
+            known[image[fresh]] = True
+    return representative, source, via
+
+
+def _carry(
+    states: np.ndarray,
+    sector: int,
+    source: np.ndarray,
+    via: np.ndarray,
+    maps: Sequence[np.ndarray],
+) -> np.ndarray:
+    """The members of ``sector`` that the maps of :func:`_sector_orbits`
+    carry ``states``, the members of its representative, onto, in order."""
+    steps = []
+    while via[sector] >= 0:
+        steps.append(via[sector])
+        sector = source[sector]
+    for g in reversed(steps):
+        states = maps[g][states]
+    return states
 
 
 # Sectors up to this size are diagonalized densely, larger ones by Lanczos.
@@ -385,12 +487,23 @@ def lowest_spectrum(
     states are diagonalized densely, in stacks of equal size, so all the
     one-state sectors take a single call.  Larger ones use Lanczos with
     growing subspace sizes, started from the seeded random vector
-    restricted to the sector.  The ``k`` lowest sector eigenpairs are
-    embedded in the full space and each must satisfy
-    ``|H v - lambda v| <= 1e-9 * max(|H|_inf, 1)`` against the full
-    operator, else :class:`NoConvergence` is raised with the best residual
-    seen.  ``method`` is ``"dense"`` when every sector was solved densely,
-    else ``"lanczos(ncv=N)"`` with the largest subspace used.
+    restricted to the sector.
+
+    A chain Hamiltonian from :func:`build_hamiltonian` (an operator that
+    carries its ``spec``) has index maps that commute with it
+    (:func:`_symmetry_maps`); only the lowest-numbered sector of each orbit
+    of those maps is solved.  Every other sector of the orbit takes its
+    representative's eigenvalues, and the representative's vectors pushed
+    through the maps.  A map that misses the operator by more than
+    ``1e-3`` of the certification threshold raises :class:`InvalidSpec`;
+    by Weyl's inequality that miss bounds the error of each copied value.
+
+    The ``k`` lowest sector eigenpairs are embedded in the full space and
+    each must satisfy ``|H v - lambda v| <= 1e-9 * max(|H|_inf, 1)``
+    against the full operator, else :class:`NoConvergence` is raised with
+    the best residual seen.  ``method`` is ``"dense"`` when every solved
+    sector was solved densely, else ``"lanczos(ncv=N)"`` with the largest
+    subspace used.
     """
     matrix = op.matrix if isinstance(op, SparseOperator) else sp.csr_matrix(op)
     dim = matrix.shape[0]
@@ -401,16 +514,28 @@ def lowest_spectrum(
     threshold = 1e-9 * max(norm, 1.0)
 
     sector_of, sector_sizes = sector_split(matrix)
+    sector_count = sector_sizes.size
+    maps = _symmetry_maps(op.spec) if isinstance(op, SparseOperator) and op.spec else []
+    if maps:
+        representative, source, via = _sector_orbits(matrix, sector_of, maps, 1e-3 * threshold)
+    else:
+        representative = source = np.arange(sector_count)
+        via = np.full(sector_count, -1)
+    solved = via < 0
     # states by sector size, then sector, then index
     order = np.lexsort((sector_of, sector_sizes[sector_of]))
+    v0 = np.random.default_rng(seed).standard_normal(dim)[order]
+    if not solved.all():
+        # drop the image sectors; each representative keeps its rows' order
+        keep = solved[sector_of[order]]
+        order, v0 = order[keep], v0[keep]
     permuted = matrix[order][:, order].tocsr()
     permuted.sum_duplicates()
     permuted.eliminate_zeros()
-    v0 = np.random.default_rng(seed).standard_normal(dim)[order]
     # pieces: (first row, sector size, values (g, want), vectors (g, m, want))
     pieces = []
     ncv_max = 0
-    sizes, counts = np.unique(sector_sizes, return_counts=True)
+    sizes, counts = np.unique(sector_sizes[solved], return_counts=True)
     firsts = np.concatenate(([0], np.cumsum(sizes * counts)))
     for m, count, first in zip(sizes.tolist(), counts.tolist(), firsts.tolist()):
         want = min(k, m)
@@ -430,12 +555,20 @@ def lowest_spectrum(
     candidates = np.concatenate([piece[2].ravel() for piece in pieces])
     owner = np.repeat(np.arange(len(pieces)), lengths)
     offset = np.cumsum([0] + lengths)
-    chosen = np.argsort(candidates, kind="stable")[:k]
     vectors = np.zeros((dim, k))
-    for column, flat in enumerate(chosen):
+    chosen = []
+    for flat in np.argsort(candidates, kind="stable"):
         lo, m, piece_values, piece_vectors = pieces[owner[flat]]
         i, j = divmod(int(flat - offset[owner[flat]]), piece_values.shape[1])
-        vectors[order[lo + i * m:lo + (i + 1) * m], column] = piece_vectors[i, :, j]
+        states = order[lo + i * m:lo + (i + 1) * m]
+        # a solved eigenpair serves every sector of its orbit, itself first
+        orbit = np.flatnonzero(representative == sector_of[states[0]])
+        for sector in orbit[:k - len(chosen)]:
+            image = _carry(states, sector, source, via, maps)
+            vectors[image, len(chosen)] = piece_vectors[i, :, j]
+            chosen.append(flat)
+        if len(chosen) == k:
+            break
     values = candidates[chosen]
     residuals = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
     if np.any(residuals > threshold):
@@ -450,6 +583,8 @@ def lowest_spectrum(
         norm_bound=norm,
         method=f"lanczos(ncv={ncv_max})" if ncv_max else "dense",
         vectors=vectors,
+        sector_count=sector_count,
+        sectors_solved=int(solved.sum()),
     )
 
 

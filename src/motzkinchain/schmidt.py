@@ -96,7 +96,7 @@ def entropy_exact(
     elif (table.n, table.s) != (n, s):
         raise InvalidSpec("table does not match the requested (n, s)")
     logw = table.log_schmidt_weight()
-    logp = 2.0 * table.log_halfwalk - table.log_total
+    logp = schmidt_spectrum(table).log_probability
     keep = logw >= np.max(logw) + TRUNCATION_LOG_CUTOFF
     entropy = -float(np.sum(np.exp(logw[keep]) * logp[keep]))
     if base == "bits":

@@ -48,14 +48,15 @@ def encode_walk(walk: Sequence[int], s: int) -> str:
 
 
 def enumerate_walks(length: int, colors: int, kind: str) -> Iterator[tuple[int, ...]]:
-    """Yield the complete walks of the given length in canonical lexicographic order.
+    """The complete walks of the given length in canonical lexicographic order.
 
     ``kind`` is ``"motzkin"`` for colored Motzkin walks or ``"dyck"`` for
     colored Dyck walks (no flat steps).  A depth-first search prunes
     invalid prefixes, so only viable walks are visited.  The guard therefore
     bounds the number of walks the request would yield, not the raw
     candidate space; counts beyond ``ENUMERATION_GUARD`` raise
-    :class:`SizeExceeded`.
+    :class:`SizeExceeded`.  Arguments and guard are checked on the call, not
+    at the first ``next()``; the walks are then yielded lazily.
     """
     if length < 0 or colors < 1:
         raise InvalidSpec("length must be >= 0 and colors >= 1")
@@ -72,7 +73,11 @@ def enumerate_walks(length: int, colors: int, kind: str) -> Iterator[tuple[int, 
             f"{yield_count} walks of kind {kind!r} exceed the enumeration "
             f"guard {ENUMERATION_GUARD:.0e}"
         )
+    return _walks(length, colors, kind)
 
+
+def _walks(length: int, colors: int, kind: str) -> Iterator[tuple[int, ...]]:
+    """The depth-first walk generator behind :func:`enumerate_walks`."""
     ups = list(range(1, colors + 1))
     flats = [0] if kind == "motzkin" else []
     prefix: list[int] = []

@@ -400,6 +400,10 @@ def test_gap_scan_schema_and_trend():
         gap_scan([4], 1)
 
 
+def _threshold(op):
+    return 1e-9 * max(op.norm_inf(), 1.0)
+
+
 ORACLE_SPECS = [
     *(
         ChainSpec(two_n=two_n, s=1, boundary=boundary)
@@ -429,6 +433,13 @@ def test_sector_spectrum_matches_full_dense_oracle(spec, cutoff, monkeypatch):
         result = lowest_spectrum(op, k=k)
         np.testing.assert_allclose(result.eigenvalues, expected[:k], rtol=0, atol=1e-10)
         assert result.ground_degeneracy == int(np.sum(expected[:k] <= expected[0] + 1e-8))
+        # the orbit route against the plain route, which solves every sector
+        plain = lowest_spectrum(op.matrix, k=k)
+        assert result.sectors_solved < result.sector_count == plain.sectors_solved
+        np.testing.assert_allclose(
+            result.eigenvalues, plain.eigenvalues, rtol=0, atol=_threshold(op)
+        )
+        assert result.ground_degeneracy == plain.ground_degeneracy
         vectors = result.vectors
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(k), atol=1e-10)
         np.testing.assert_allclose(
@@ -470,6 +481,137 @@ def test_open_chain_ground_pair_at_every_seed(seed):
     np.testing.assert_allclose(result.eigenvalues, [0.0, 0.0], atol=1e-10)
     assert result.ground_degeneracy == 2
     assert result.method.startswith("lanczos")
+
+
+# ---------------------------------------------------------------------------
+# Sector orbits: the mirror and the color transpositions
+# ---------------------------------------------------------------------------
+
+
+MAP_SPECS = [
+    ChainSpec(two_n=two_n, s=s, boundary=boundary, field_epsilon0=eps)
+    for two_n, s in ((4, 1), (6, 1), (8, 1), (4, 2), (6, 2), (4, 3))
+    for boundary in ("motzkin", "open", "periodic")
+    for eps in (0.0, 0.3)
+]
+
+
+@pytest.mark.parametrize("spec", MAP_SPECS, ids=str)
+def test_symmetry_maps_commute_with_the_operator(spec):
+    op = build_hamiltonian(spec)
+    matrix = op.matrix
+    maps = hamiltonian._symmetry_maps(spec)
+    assert len(maps) == spec.s
+    defects = []
+    for p in maps:
+        assert p.dtype == np.int32
+        assert np.array_equal(np.sort(p), np.arange(spec.dim))
+        # (P H P^T)[i, j] = H[p[i], p[j]]; the inf-norm bounds the spectral norm
+        delta = abs(matrix[p][:, p] - matrix)
+        defects.append(float(delta.sum(axis=1).max()) if delta.nnz else 0.0)
+    assert max(defects) <= 1e-3 * _threshold(op)
+    # a transposition permutes equal entries; the mirror reverses the order
+    # in which site pairs are summed, which moves last bits from s = 2 on
+    assert defects[1:] == [0.0] * (spec.s - 1)
+    if spec.s == 1:
+        assert defects == [0.0]
+
+
+def test_mirror_and_transposition_digits():
+    spec = ChainSpec(two_n=4, s=2)
+    mirror, swap = hamiltonian._symmetry_maps(spec)
+    # digits 0 flat, 1-2 left colors, 3-4 right colors; site 1 first
+    config = walk_to_index((1, 0, 2, 4), 2)
+    assert mirror[config] == walk_to_index((2, 4, 0, 3), 2)
+    assert swap[config] == walk_to_index((2, 0, 1, 3), 2)
+
+
+@pytest.mark.parametrize("cutoff", [None, 40])
+def test_two_color_orbit_spectrum_matches_plain_route_and_dense(cutoff, monkeypatch):
+    # 15,625 states: too many for one dense matrix, so the dense oracle
+    # diagonalizes each sector block
+    if cutoff is not None:
+        monkeypatch.setattr(hamiltonian, "_DENSE_CUTOFF", cutoff)
+    op = build_hamiltonian(ChainSpec(two_n=6, s=2))
+    threshold = _threshold(op)
+    sector_of, sizes = hamiltonian.sector_split(op.matrix)
+    members = np.split(np.argsort(sector_of, kind="stable"), np.cumsum(sizes)[:-1])
+    expected = np.sort(
+        np.concatenate([np.linalg.eigvalsh(op.matrix[m][:, m].toarray()) for m in members])
+    )
+    for k in (1, 2, 12):
+        result = lowest_spectrum(op, k=k)
+        plain = lowest_spectrum(op.matrix, k=k)
+        np.testing.assert_allclose(result.eigenvalues, plain.eigenvalues, rtol=0, atol=threshold)
+        np.testing.assert_allclose(result.eigenvalues, expected[:k], rtol=0, atol=threshold)
+        assert result.ground_degeneracy == plain.ground_degeneracy == 1
+        vectors = result.vectors
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(k), rtol=0, atol=1e-12)
+        residuals = np.linalg.norm(op.matrix @ vectors - vectors * result.eigenvalues, axis=0)
+        assert residuals.max() <= threshold
+
+
+def test_representative_sectors_keep_their_lanczos_bits(monkeypatch):
+    # every sector the orbit route solves is solved exactly as the plain
+    # route solves it: same block, same start vector, same subspace
+    solved = []
+    lanczos = hamiltonian._lanczos
+
+    def recording(block, k, v0, threshold):
+        values, vectors, ncv = lanczos(block, k, v0, threshold)
+        solved.append(values.tobytes())
+        return values, vectors, ncv
+
+    monkeypatch.setattr(hamiltonian, "_lanczos", recording)
+    op = build_hamiltonian(ChainSpec(two_n=8, s=1))
+    lowest_spectrum(op.matrix, k=6)
+    plain, solved[:] = list(solved), []
+    lowest_spectrum(op, k=6)
+    assert len(solved) == 3 < len(plain) == 5
+    assert set(solved) <= set(plain)
+
+
+def test_dense_representatives_are_bit_identical_to_the_plain_route():
+    op = build_hamiltonian(ChainSpec(two_n=4, s=2, boundary="periodic"))
+    everything = lowest_spectrum(op.matrix, k=op.dim).eigenvalues
+    orbit = lowest_spectrum(op, k=op.dim).eigenvalues
+    assert set(orbit.tolist()) <= set(everything.tolist())
+
+
+@pytest.mark.parametrize(
+    "spec, solved, count",
+    [
+        (ChainSpec(two_n=8, s=1), 25, 45),
+        (ChainSpec(two_n=6, s=2, boundary="periodic"), 456, 1748),
+        (ChainSpec(two_n=6, s=2), 700, 2703),
+    ],
+    ids=str,
+)
+def test_sectors_solved_is_the_orbit_count(spec, solved, count):
+    op = build_hamiltonian(spec)
+    result = lowest_spectrum(op, k=2)
+    assert (result.sectors_solved, result.sector_count) == (solved, count)
+    plain = lowest_spectrum(op.matrix, k=2)
+    assert plain.sectors_solved == plain.sector_count == count
+
+
+def test_a_map_that_is_no_symmetry_raises(monkeypatch):
+    spec = ChainSpec(two_n=6, s=1)
+    op = build_hamiltonian(spec)
+    rng = np.random.default_rng(0)
+    shuffled = rng.permutation(spec.dim).astype(np.int32)
+    monkeypatch.setattr(hamiltonian, "_symmetry_maps", lambda spec: [shuffled])
+    with pytest.raises(InvalidSpec):
+        lowest_spectrum(op, k=2)
+    # a swap of two states of one sector keeps every sector whole, so only
+    # the operator check can refuse it
+    sector_of, _ = hamiltonian.sector_split(op.matrix)
+    a, b = np.flatnonzero(sector_of == sector_of[0])[:2]
+    swap = np.arange(spec.dim, dtype=np.int32)
+    swap[[a, b]] = [b, a]
+    monkeypatch.setattr(hamiltonian, "_symmetry_maps", lambda spec: [swap])
+    with pytest.raises(InvalidSpec, match="misses the operator"):
+        lowest_spectrum(op, k=2)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,14 @@ def test_enumerate_argument_validation():
             list(enumerate_walks(2, 1, kind))
 
 
+def test_enumerate_refuses_on_the_call_not_the_first_next():
+    # the walks are lazy, the checks are not: no generator is handed out
+    with pytest.raises(InvalidSpec):
+        enumerate_walks(2, 1, "spiral")
+    with pytest.raises(SizeExceeded):
+        enumerate_walks(60, 3, "motzkin")
+
+
 # ---------------------------------------------------------------------------
 # Exact counting
 # ---------------------------------------------------------------------------
