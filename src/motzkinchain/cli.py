@@ -228,10 +228,11 @@ def _cmd_gap(args) -> int:
         _write_text(args.out, _render_json(payload))
     else:
         _write_text(args.out, _render_csv(header, rows))
-    _note(
-        f"fitted exponent: gap ~ n^{scan.slope:.4f} (stderr {scan.stderr:.4f})",
-        to_stdout=args.out is not None,
-    )
+    if scan.slope is None:
+        note = f"no fitted exponent: the gap at 2n={scan.zero_gap_at} is zero within its residual"
+    else:
+        note = f"fitted exponent: gap ~ n^{scan.slope:.4f} (stderr {scan.stderr:.4f})"
+    _note(note, to_stdout=args.out is not None)
     return EXIT_OK
 
 

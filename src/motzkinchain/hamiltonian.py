@@ -591,8 +591,9 @@ def lowest_spectrum(
 @dataclass
 class GapScanResult:
     rows: list[dict]
-    slope: float
-    stderr: float
+    slope: float | None
+    stderr: float | None
+    zero_gap_at: int | None = None
 
 
 def gap_scan(
@@ -604,11 +605,14 @@ def gap_scan(
     """Gap versus size, with the least-squares exponent of ``gap ~ n**(-nu)``.
 
     ``slope`` is the fitted coefficient of ``ln(gap)`` against ``ln(n)`` with
-    ``n = two_n / 2``; ``stderr`` is its standard error.
+    ``n = two_n / 2``; ``stderr`` is its standard error.  Both are None when a
+    gap is zero within twice the certification threshold (the degenerate
+    ground level of open and periodic chains); ``zero_gap_at`` names its size.
     """
     if len(set(sizes)) < 2:
         raise InvalidSpec("gap scans need at least two distinct sizes")
     rows = []
+    zero_gap_at = None
     for two_n in sizes:
         spec = ChainSpec(two_n=two_n, s=s, boundary=boundary)
         result = lowest_spectrum(build_hamiltonian(spec), k=2, seed=seed)
@@ -622,6 +626,10 @@ def gap_scan(
                 "max_residual": float(result.residuals.max()),
             }
         )
+        if zero_gap_at is None and result.gap <= 2e-9 * max(result.norm_bound, 1.0):
+            zero_gap_at = two_n
+    if zero_gap_at is not None:
+        return GapScanResult(rows=rows, slope=None, stderr=None, zero_gap_at=zero_gap_at)
     x = np.log([row["two_n"] / 2.0 for row in rows])
     y = np.log([row["gap"] for row in rows])
     if len(rows) > 2:

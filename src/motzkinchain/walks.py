@@ -14,9 +14,10 @@ The module offers two arithmetic routes for the counting functions:
 
 * exact arbitrary-precision integers, used for half-chain lengths up to
   ``EXACT_LIMIT``;
-* natural-log floating point built on ``gammaln``, with every height's
-  summands evaluated in one chunked term array and summed by log-sum-exp,
-  usable far beyond that.
+* natural-log floating point built on ``gammaln``, usable far beyond that:
+  chunks of every height's summands are filled into one reused buffer from
+  1-D tables, then summed by log-sum-exp with ``exp`` spared every entry
+  that underflows, keeping every bit of the per-height formula.
 
 ``CountTable`` bundles both and is the input to the Schmidt-spectrum and
 external-field modules.
@@ -26,10 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
 from .errors import DomainError, InvalidSpec, SizeExceeded
@@ -257,19 +258,10 @@ def _logsumexp(values: np.ndarray) -> float:
     return peak + math.log(float(np.sum(np.exp(values - peak))))
 
 
-class _LogFactorials:
-    """Cached ``log(k!)`` lookups backed by ``gammaln``."""
-
-    def __init__(self):
-        self._table = gammaln(np.arange(2, dtype=float) + 1.0)
-
-    def grow(self, n: int) -> np.ndarray:
-        if n >= self._table.size:
-            self._table = gammaln(np.arange(max(n + 1, 2 * self._table.size), dtype=float) + 1.0)
-        return self._table
-
-
-_LOG_FACT = _LogFactorials()
+@lru_cache(maxsize=1)
+def _log_factorials(n: int) -> np.ndarray:
+    """``log(k!)`` for ``k = 0..n`` from ``gammaln``, kept for the last ``n``."""
+    return gammaln(np.arange(n + 1, dtype=float) + 1.0)
 
 
 def log_halfwalk_terms(n: int, s: int, m_start: int, m_stop: int) -> Iterator[np.ndarray]:
@@ -283,25 +275,37 @@ def log_halfwalk_terms(n: int, s: int, m_start: int, m_stop: int) -> Iterator[np
     and -inf past a row's last pair count ``(n-m)//2``.  The ballot
     difference is folded into the positive factor ``(m+1)/(i+m+1)`` so no
     cancellation occurs.  A chunk holds about ``_TERM_CHUNK`` entries.
+
+    What depends on one index alone is a 1-D table built once per call:
+    ``log C(n, k)``, ``j + 1.0`` and ``i log s``.  A chunk adds to a strided
+    copy of the first ``log k! - log i! - log (i+m)!``, the log of a division
+    of two views of the second, and the third: the float operations of the
+    formula above in its order, so every term keeps its bits.  Each chunk is
+    a view of one buffer that the next chunk overwrites; copy one to keep it.
     """
-    fact = _LOG_FACT.grow(n)[: n + 1]
+    fact = _log_factorials(n)
     # k = 2i+m and i+m may pass n, and n-k drop below zero, only past a row's
     # end: zeros above and +inf below make those entries come out -inf
     up = np.concatenate([fact, np.zeros(n + 1)])
-    down = np.concatenate([fact[::-1], np.full(n + 1, math.inf)])
+    log_binom = fact[n] - up - np.concatenate([fact[::-1], np.full(n + 1, math.inf)])
+    plus_one = np.arange(1.0, 2 * n + 3)
+    pair_weight = np.arange(n // 2 + 1.0) * math.log(s)
+    width = (n - m_start) // 2 + 1
+    buffer, scratch = np.empty((2, min(max(_TERM_CHUNK, width), max(m_stop - m_start, 0) * width)))
     step = up.strides[0]
-    log_s = math.log(s)
     m0 = m_start
     while m0 < m_stop:
         width = (n - m0) // 2 + 1
         shape = (min(m_stop - m0, max(1, _TERM_CHUNK // width)), width)
-        m = np.arange(m0, m0 + shape[0])[:, None]
-        i = np.arange(width)
-        k_fact = as_strided(up[m0:], shape, (step, 2 * step))
-        terms = fact[n] - k_fact - as_strided(down[m0:], shape, (step, 2 * step))
-        terms += k_fact - fact[:width] - as_strided(up[m0:], shape, (step, step))
-        terms += np.log((m + 1.0) / (i + m + 1.0))
-        terms += i * log_s
+        terms, part = (b[: shape[0] * width].reshape(shape) for b in (buffer, scratch))
+        np.copyto(terms, np.ndarray(shape, float, log_binom, m0 * step, (step, 2 * step)))
+        k_fact = np.ndarray(shape, float, up, m0 * step, (step, 2 * step))
+        np.subtract(k_fact, fact[:width], out=part)
+        terms += np.subtract(part, np.ndarray(shape, float, up, m0 * step, (step, step)), out=part)
+        # column 0 of j + 1.0, at j = m + i, is m + 1.0
+        j_plus_one = np.ndarray(shape, float, plus_one, m0 * step, (step, step))
+        terms += np.log(np.divide(j_plus_one[:, :1], j_plus_one, out=part), out=part)
+        terms += pair_weight[:width]
         yield terms
         m0 += shape[0]
 
@@ -311,13 +315,18 @@ def _log_halfwalk(n: int, s: int, m_start: int, m_stop: int) -> np.ndarray:
 
     Each row is summed as its own contiguous slice, which keeps the pairwise
     grouping of a 1-D ``np.sum``; a 2-D sum over the -inf padding does not,
-    and moves the last bit.
+    and moves the last bit.  ``exp`` rounds anything below -746 to an exact
+    0, but through a slow path (about 16 times the cost), so such entries and
+    the padding go in as 0 and come out as 0: every row sum sees the same array.
     """
     out = []
     for terms in log_halfwalk_terms(n, s, m_start, m_stop):
         peaks = terms.max(axis=1)
         terms -= peaks[:, None]
+        zero = terms < -746.0
+        np.copyto(terms, 0.0, where=zero)
         np.exp(terms, out=terms)
+        np.copyto(terms, 0.0, where=zero)
         for row, peak in zip(terms, peaks):
             m = m_start + len(out)
             out.append(float(peak) + math.log(float(row[: (n - m) // 2 + 1].sum())))

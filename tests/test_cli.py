@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
 
@@ -80,6 +81,23 @@ def test_entropy_out_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["entropy.csv"]
 
 
+@pytest.mark.parametrize(
+    ("s", "size", "digest"),
+    [
+        (1, 226, "b1f5a76a4910bbb6c88ffc5e09617b1f3ee940876b8951f694b42a73423a96a6"),
+        (2, 228, "b381f15ee7e39b2f472161b8378408b6efcc12103c935bcbd289e225df647e7e"),
+        (3, 228, "35245cc5ef355265b2f6f3b6161cfff705e31ec4ffac0933a7556dd30892b2fd"),
+    ],
+)
+def test_entropy_bytes_are_stable(s, size, digest, capsys):
+    # recorded from the log-space kernel that evaluated every term with fresh
+    # temporaries; 1999 and 5000 take the log-space route
+    assert main(["entropy", "--s", str(s), "--n-list", "301,1999,5000"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_write_text_atomic_overwrites_in_place(tmp_path):
     path = tmp_path / "table.csv"
     write_text_atomic(path, "a,b\n1,2\n")
@@ -141,6 +159,29 @@ def test_gap_json_includes_slope(capsys):
     assert {row["two_n"] for row in payload["rows"]} == {4, 6}
     assert payload["slope"] < 0
     assert payload["slope_stderr"] >= 0
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gap_on_a_degenerate_ground_level_fits_nothing(boundary, fmt, capsys):
+    # both chains have a degenerate ground level, so a gap is zero within
+    # its residual and has no logarithm
+    argv = ["gap", "--s", "1", "--sizes", "4,6,8", "--boundary", boundary, "--format", fmt]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "no fitted exponent: the gap at 2n=4 is zero within its residual\n"
+    if fmt == "json":
+        payload = json.loads(captured.out, parse_constant=_refuse_constant)
+        assert payload["slope"] is None and payload["slope_stderr"] is None
+        assert [row["two_n"] for row in payload["rows"]] == [4, 6, 8]
+    else:
+        assert [r[0] for r in _rows(captured.out)[1:]] == ["4", "6", "8"]
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +446,17 @@ def test_field_m_max_flag(capsys):
     assert main(["field", "--n", "5", "--s", "2", "--eps0", "0.01", "--m-max", "2"]) == EXIT_OK
     rows = _rows(capsys.readouterr().out)
     assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
+
+
+def test_field_bytes_are_stable(capsys):
+    # recorded from the log-space kernel that evaluated every term with fresh
+    # temporaries; every height past n = 300 reads one row of log-space terms
+    assert main(["field", "--n", "1000", "--s", "2", "--eps0", "0.001"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(out) == 6466
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "601dbc1d931e5d5a22120bdbca9cce24975f2e29f5647272a5ed66fd2e4c4583"
+    )
 
 
 def test_field_size_error_names_the_half_length(capsys):

@@ -5,6 +5,7 @@ of the actual chain state lives in the acceptance module; here the brute
 force runs at small sizes, plus closed-form and asymptotic checks.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -235,6 +236,24 @@ def test_saddle_point_tracks_term_argmax():
     # 128 was recorded from the per-height log-space loop the chunked term rows replaced
     assert halfwalk_term_argmax(400, 40, 2) == 128
     assert abs(halfwalk_term_argmax(400, 40, 2) - saddle_point(400, 40, 2)) <= 2
+
+
+@pytest.mark.parametrize(
+    ("n", "s", "digest"),
+    [
+        (301, 1, "402e4249600651684d5b28e7707e432f84f203f88d76103044fa8ff0205f6b47"),
+        (301, 2, "6f07a3c2fb45ac3f2abbf0909864cc413660c962ba7d9a1386583378b63fa7c3"),
+        (301, 3, "ae57329beb94b2381b545a0e514aa8176dabed62d3c531a914070803d11720af"),
+        (1999, 1, "f7a90f3b7acc937a129df7a4a775e5e1dc5e1c5a5f606761c44dd5536699d7ab"),
+        (1999, 2, "aa3a9689cb4e9710d70f148eba08f5e55ebaf5235e45bfc6d4f2fbd98fb75dda"),
+        (1999, 3, "65b96cfdc5a93e67d414c208e0f1b90ee4e8cb73f8dd45b754b85372b8cac891"),
+    ],
+)
+def test_term_argmax_is_stable_at_every_height(n, s, digest):
+    # recorded from the log-space kernel that evaluated every term with fresh
+    # temporaries; the SHA-256 of the list of argmaxes over m = 0..n
+    argmaxes = [halfwalk_term_argmax(n, m, s) for m in range(n + 1)]
+    assert hashlib.sha256(repr(argmaxes).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from motzkinchain.walks import (
     enumerate_walks,
     full_walk_count,
     halfwalk_table,
+    log_halfwalk_terms,
     motzkin_number,
 )
 
@@ -369,16 +370,21 @@ def log_binomial(n, k):
     return out
 
 
-def per_height_log_count(n, m, s):
-    """The per-height loop the chunked log-space kernel replaced: one term
-    array and one log-sum-exp for each height ``m``."""
+def per_height_log_terms(n, m, s):
+    """The summands of ``log M(n, m, s)``, one per pair count, for one height."""
     i = np.arange((n - m) // 2 + 1)
-    terms = (
+    return (
         log_binomial(n, 2 * i + m)
         + log_binomial(2 * i + m, i)
         + np.log((m + 1.0) / (i + m + 1.0))
         + i * math.log(s)
     )
+
+
+def per_height_log_count(n, m, s):
+    """The per-height loop the chunked log-space kernel replaced: one term
+    array and one log-sum-exp for each height ``m``."""
+    terms = per_height_log_terms(n, m, s)
     peak = float(np.max(terms))
     return peak + math.log(float(np.sum(np.exp(terms - peak))))
 
@@ -470,6 +476,38 @@ def test_log_table_memory_stays_linear():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    ("n", "s", "m_start", "m_stop"),
+    [
+        (1999, 2, 0, 2000),  # every row, 33 chunks
+        (1999, 2, 31, 100),  # one row before the full table's first chunk boundary
+        (5000, 1, 137, 900),  # a mid-range start, several chunks
+        (3001, 10**6, 0, 3002),  # s = 10**6
+        (1000, 3, 999, 1001),  # the last two rows, a single term each
+    ],
+)
+def test_log_terms_match_per_height_terms_bit_for_bit(n, s, m_start, m_stop):
+    m = m_start
+    for chunk in log_halfwalk_terms(n, s, m_start, m_stop):
+        for row in chunk:
+            terms = per_height_log_terms(n, m, s)
+            padding = np.full(row.size - terms.size, -math.inf)
+            assert np.array_equal(row, np.concatenate([terms, padding])), m
+            m += 1
+    assert m == m_stop
+
+
+def test_log_terms_chunks_are_views_of_one_buffer():
+    # documented: the next chunk overwrites the last, so a caller that keeps
+    # two chunks must copy the first
+    chunks = log_halfwalk_terms(1999, 2, 0, 2000)
+    first = next(chunks)
+    kept = first.copy()
+    second = next(chunks)
+    assert np.shares_memory(first, second)
+    assert not np.array_equal(first, kept)
 
 
 def test_count_table_log_mode_reaches_large_sizes():
