@@ -38,6 +38,7 @@ THREAD_VARIABLES = (
 )
 
 FIGURE_TAGS = ("entropy_s1", "entropy_grid", "ratio", "fa_density")
+_ENTROPY_HEADER = ("n", "s", "S_exact_nats", "S_asym_nats", "ratio")
 
 # n values for the reproduced entropy figures: 25 points log-spaced over
 # [10, 10**4], deduplicated after rounding
@@ -178,7 +179,7 @@ def _density_rows(lo: float, hi: float, count: int) -> list[list]:
 def _cmd_entropy(args) -> int:
     n_values = _parse_int_list(args.n_list, "--n-list")
     rows = _entropy_rows(n_values, args.s, args.mode)
-    _emit_table(args, ["n", "s", "S_exact_nats", "S_asym_nats", "ratio"], rows)
+    _emit_table(args, _ENTROPY_HEADER, rows)
     return EXIT_OK
 
 
@@ -330,14 +331,11 @@ def _cmd_field(args) -> int:
 def _cmd_reproduce(args) -> int:
     suffix = "json" if args.format == "json" else "csv"
     out_path = os.path.join(args.out or ".", f"{args.tag}.{suffix}")
+    header = _ENTROPY_HEADER
     if args.tag == "entropy_s1":
-        header = ["n", "s", "S_exact_nats", "S_asym_nats", "ratio"]
         rows = _entropy_rows(FIGURE_GRID, 1, "auto")
     elif args.tag == "entropy_grid":
-        header = ["n", "s", "S_exact_nats", "S_asym_nats", "ratio"]
-        rows = []
-        for s in (2, 3, 4, 5):
-            rows.extend(_entropy_rows(FIGURE_GRID, s, "auto"))
+        rows = [row for s in (2, 3, 4, 5) for row in _entropy_rows(FIGURE_GRID, s, "auto")]
     elif args.tag == "ratio":
         header = ["n", "ratio"]
         rows = [[row[0], row[4]] for row in _entropy_rows(FIGURE_GRID, 2, "auto")]
@@ -354,62 +352,50 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _shared_flags() -> argparse.ArgumentParser:
-    """Global flags, attachable to the root parser and to every subcommand.
-
-    The root copy carries the real defaults; the subcommand copies default
-    to SUPPRESS so a flag placed after the subcommand overrides the root
-    value and an absent flag leaves it alone.  Both orders then work.
-    """
-    shared = argparse.ArgumentParser(add_help=False)
-    suppress = argparse.SUPPRESS
-    shared.add_argument("--out", default=suppress, help="output file (default: stdout)")
-    shared.add_argument(
-        "--format", choices=("csv", "json"), default=suppress,
-        help="output format (default depends on the subcommand)",
-    )
-    shared.add_argument(
-        "--seed", type=int, default=suppress, help="eigensolver start seed"
-    )
-    shared.add_argument(
-        "--threads", type=int, default=suppress,
-        help="pin BLAS/OpenMP thread pools to this size",
-    )
-    return shared
+# the global flags: (flag, root default, other add_argument keywords)
+_GLOBAL_FLAGS = (
+    ("--out", None, {"help": "output file (default: stdout)"}),
+    (
+        "--format", None,
+        {"choices": ("csv", "json"), "help": "output format (default depends on the subcommand)"},
+    ),
+    ("--seed", 42, {"type": int, "help": "eigensolver start seed"}),
+    ("--threads", None, {"type": int, "help": "pin BLAS/OpenMP thread pools to this size"}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The root parser and its subcommands, each carrying the global flags.
+
+    The root copy of a global flag carries the real default; the subcommand
+    copies default to SUPPRESS, so a flag placed after the subcommand
+    overrides the root value and an absent flag leaves it alone.  Both
+    orders then work.
+    """
     parser = argparse.ArgumentParser(
         prog="motzkinchain",
         description="Colored Motzkin chain numerics: entropy, spectra, mixing, fields.",
     )
-    parser.add_argument("--out", default=None, help="output file (default: stdout)")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default=None,
-        help="output format (default depends on the subcommand)",
-    )
-    parser.add_argument("--seed", type=int, default=42, help="eigensolver start seed")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="pin BLAS/OpenMP thread pools to this size",
-    )
-    common = _shared_flags()
+    for flag, default, options in _GLOBAL_FLAGS:
+        parser.add_argument(flag, default=default, **options)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    entropy = commands.add_parser(
-        "entropy", help="middle-cut entanglement entropy table", parents=[common]
-    )
+    def command(name: str, summary: str, handler, format_default):
+        sub = commands.add_parser(name, help=summary)
+        for flag, _, options in _GLOBAL_FLAGS:
+            sub.add_argument(flag, default=argparse.SUPPRESS, **options)
+        sub.set_defaults(handler=handler, format_default=format_default)
+        return sub
+
+    entropy = command("entropy", "middle-cut entanglement entropy table", _cmd_entropy, "csv")
     entropy.add_argument("--s", type=int, required=True, help="number of letter colors")
     entropy.add_argument("--n-list", required=True, help="comma-separated half-chain sizes")
     entropy.add_argument(
         "--mode", choices=("auto", "exact", "log"), default="auto",
         help="counting arithmetic (auto switches at the exact-table limit)",
     )
-    entropy.set_defaults(handler=_cmd_entropy, format_default="csv")
 
-    spectrum = commands.add_parser(
-        "spectrum", help="lowest chain eigenvalues", parents=[common]
-    )
+    spectrum = command("spectrum", "lowest chain eigenvalues", _cmd_spectrum, "json")
     spectrum.add_argument("--two-n", type=int, required=True, help="chain length")
     spectrum.add_argument("--s", type=int, required=True)
     spectrum.add_argument(
@@ -419,39 +405,29 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument(
         "--eps0", type=float, default=0.0, help="external field strength (0 disables)"
     )
-    spectrum.set_defaults(handler=_cmd_spectrum, format_default="json")
 
-    gap = commands.add_parser(
-        "gap", help="spectral gap versus size with a fitted exponent", parents=[common]
-    )
+    gap = command("gap", "spectral gap versus size with a fitted exponent", _cmd_gap, "csv")
     gap.add_argument("--s", type=int, required=True)
     gap.add_argument("--sizes", required=True, help="comma-separated chain lengths")
     gap.add_argument(
         "--boundary", choices=("motzkin", "open", "periodic"), default="motzkin"
     )
-    gap.set_defaults(handler=_cmd_gap, format_default="csv")
 
-    classes = commands.add_parser(
-        "classes", help="move-equivalence sectors of the chain", parents=[common]
-    )
+    classes = command("classes", "move-equivalence sectors of the chain", _cmd_classes, "csv")
     classes.add_argument("--two-n", type=int, required=True, help="chain length")
     classes.add_argument("--s", type=int, required=True)
     classes.add_argument("--boundary", choices=("open", "periodic"), default="open")
-    classes.set_defaults(handler=_cmd_classes, format_default="csv")
 
-    markov = commands.add_parser(
-        "markov", help="Dyck-space walk gap and congestion bound", parents=[common]
-    )
+    markov = command("markov", "Dyck-space walk gap and congestion bound", _cmd_markov, "json")
     markov.add_argument("--two-n", type=int, required=True, help="Dyck path length")
     markov.add_argument("--s", type=int, required=True)
     markov.add_argument(
         "--report", default="gap,edge-load",
         help="comma-separated parts: gap, edge-load",
     )
-    markov.set_defaults(handler=_cmd_markov, format_default="json")
 
-    excursion = commands.add_parser(
-        "excursion", help="excursion-area density or twisted trial state", parents=[common]
+    excursion = command(
+        "excursion", "excursion-area density or twisted trial state", _cmd_excursion, None
     )
     excursion.add_argument("--density", action="store_true", help="tabulate the area density")
     excursion.add_argument("--trial", action="store_true", help="evaluate the trial state")
@@ -462,11 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--theta", type=float, default=None,
         help="twist override (default: the reference twist for the size)",
     )
-    excursion.set_defaults(handler=_cmd_excursion, format_default=None)
 
-    field = commands.add_parser(
-        "field", help="first-order sector energies in a weak field", parents=[common]
-    )
+    field = command("field", "first-order sector energies in a weak field", _cmd_field, "csv")
     field.add_argument("--n", type=int, required=True, help="half chain length")
     field.add_argument("--s", type=int, required=True)
     field.add_argument("--eps0", type=float, required=True, help="field strength in (0,1)")
@@ -474,13 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--m-max", type=int, default=None,
         help="largest imbalance to tabulate (default min(2n, 100))",
     )
-    field.set_defaults(handler=_cmd_field, format_default="csv")
 
-    reproduce = commands.add_parser(
-        "reproduce", help="emit data behind a named figure", parents=[common]
-    )
+    reproduce = command("reproduce", "emit data behind a named figure", _cmd_reproduce, "csv")
     reproduce.add_argument("--tag", choices=FIGURE_TAGS, required=True)
-    reproduce.set_defaults(handler=_cmd_reproduce, format_default="csv")
 
     return parser
 

@@ -195,23 +195,22 @@ def sector_first_order_check(two_n: int, epsilon0: float = 1e-3) -> SectorCheck:
 
     The bulk projectors never connect different sectors and the field is
     diagonal, so the full operator block-diagonalizes over the move
-    classes.  The lowest eigenvalue of each block, certified by
-    :func:`lowest_spectrum`, is compared with the field strength times the
-    mean non-flat count at the block's imbalance.
+    classes, numbered alike by both.  The certified lowest level of each
+    sector, from one :func:`lowest_spectrum` call, is compared with the
+    field strength times the mean non-flat count at the sector's imbalance.
     """
     if not 0.0 < epsilon0 < 1.0:
         raise DomainError("epsilon0 must lie in (0, 1)")
     spec = ChainSpec(two_n=two_n, s=1, boundary="open", field_epsilon0=epsilon0)
-    matrix = build_hamiltonian(spec).matrix
+    result = lowest_spectrum(build_hamiltonian(spec), k=1)
     eps = epsilon0 / two_n
     classes = local_move_classes(two_n, 1)
     by_imbalance: dict[int, list[float]] = {}
     worst = 0.0
-    for members, label in zip(classes.members, classes.labels):
+    for lowest, label in zip(result.sector_lowest.tolist(), classes.labels):
         if label is None:
             raise InvalidSpec("a one-color sector failed to reduce to rights-then-lefts")
         m = label[0] + label[1]
-        lowest = lowest_spectrum(matrix[members][:, members], k=1).lambda1
         predicted = eps * field_expectation_exact(two_n, m, 1)
         worst = max(worst, abs(lowest - predicted))
         by_imbalance.setdefault(m, []).append(lowest)

@@ -20,7 +20,7 @@ external field adds ``(eps0 / two_n)`` times the non-flat letter count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -82,7 +82,6 @@ class SparseOperator:
     """
 
     matrix: sp.csr_matrix
-    name: str
     spec: ChainSpec | None = None
 
     @property
@@ -227,7 +226,7 @@ def build_hamiltonian(spec: ChainSpec) -> SparseOperator:
         total += sp.diags(
             (spec.field_epsilon0 / spec.two_n) * field_diagonal(spec.two_n, spec.s)
         )
-    op = SparseOperator(matrix=total.tocsr(), name=f"H[{spec.boundary}]", spec=spec)
+    op = SparseOperator(matrix=total.tocsr(), spec=spec)
     defect = op.symmetry_defect()
     if defect > 1e-14:
         raise InvalidSpec(f"assembled operator lost symmetry (defect {defect:g})")
@@ -236,12 +235,12 @@ def build_hamiltonian(spec: ChainSpec) -> SparseOperator:
 
 def build_move_part(spec: ChainSpec) -> SparseOperator:
     """Only the letter-flat exchange projectors, on every site pair."""
-    return SparseOperator(matrix=_assemble(spec, ("shift",)), name="H[move]")
+    return SparseOperator(matrix=_assemble(spec, ("shift",)))
 
 
 def build_interaction_part(spec: ChainSpec) -> SparseOperator:
     """Only the pair creation/annihilation projectors, on every site pair."""
-    return SparseOperator(matrix=_assemble(spec, ("pair",)), name="H[interaction]")
+    return SparseOperator(matrix=_assemble(spec, ("pair",)))
 
 
 def iter_projector_terms(spec: ChainSpec) -> Iterator[tuple[str, sp.csr_matrix]]:
@@ -303,7 +302,7 @@ class SpectrumResult:
     norm_bound: float
     method: str
     vectors: np.ndarray
-    sector_count: int
+    sector_lowest: np.ndarray
     sectors_solved: int
 
     @property
@@ -501,9 +500,11 @@ def lowest_spectrum(
     The ``k`` lowest sector eigenpairs are embedded in the full space and
     each must satisfy ``|H v - lambda v| <= 1e-9 * max(|H|_inf, 1)``
     against the full operator, else :class:`NoConvergence` is raised with
-    the best residual seen.  ``method`` is ``"dense"`` when every solved
-    sector was solved densely, else ``"lanczos(ncv=N)"`` with the largest
-    subspace used.
+    the best residual seen.  So must each solved sector's lowest pair
+    against ``1e-9 * max(|block|_inf, 1)``; ``sector_lowest`` holds every
+    sector's lowest level, numbered as :func:`sector_split` numbers them.
+    ``method`` is ``"dense"`` when every solved sector was solved densely,
+    else ``"lanczos(ncv=N)"`` with the largest subspace used.
     """
     matrix = op.matrix if isinstance(op, SparseOperator) else sp.csr_matrix(op)
     dim = matrix.shape[0]
@@ -550,6 +551,17 @@ def lowest_spectrum(
             values, vectors, ncv = _lanczos(permuted[lo:lo + m, lo:lo + m], want, start, threshold)
             pieces.append((lo, m, values[None, :], vectors[None]))
             ncv_max = max(ncv_max, ncv)
+    # every solved sector's lowest pair, certified against its own block
+    level = np.concatenate([np.repeat(val.min(1), m) for _, m, val, _ in pieces])
+    low = np.concatenate([vec[range(len(val)), :, val.argmin(1)] for *_, val, vec in pieces], None)
+    rows = sector_of[order]
+    residual = np.sqrt(np.bincount(rows, (permuted @ low - level * low) ** 2, sector_count))
+    bound = np.ones(sector_count)  # max(|block|_inf, 1)
+    np.maximum.at(bound, rows, np.asarray(abs(permuted).sum(axis=1)).ravel())
+    if np.any(residual > 1e-9 * bound):
+        raise NoConvergence(f"sector residual {residual.max():.3e} too high", residual.max())
+    sector_lowest = np.zeros(sector_count)
+    sector_lowest[rows] = level
 
     lengths = [piece[2].size for piece in pieces]
     candidates = np.concatenate([piece[2].ravel() for piece in pieces])
@@ -583,7 +595,7 @@ def lowest_spectrum(
         norm_bound=norm,
         method=f"lanczos(ncv={ncv_max})" if ncv_max else "dense",
         vectors=vectors,
-        sector_count=sector_count,
+        sector_lowest=sector_lowest[representative],
         sectors_solved=int(solved.sum()),
     )
 
@@ -717,7 +729,6 @@ class FrustrationReport:
     max_term_energy: float
     overlap_with_walk_state: float
     passed: bool
-    term_energies: dict = field(default_factory=dict)
 
 
 def verify_frustration_free(spec: ChainSpec, seed: int = DEFAULT_SEED) -> FrustrationReport:
@@ -726,13 +737,10 @@ def verify_frustration_free(spec: ChainSpec, seed: int = DEFAULT_SEED) -> Frustr
     if spec.boundary != "motzkin" or spec.field_epsilon0:
         raise InvalidSpec("frustration-freeness is checked for the bare motzkin chain")
     psi = state_vector(spec.two_n, spec.s)
-    term_energies = {}
-    for label, term in iter_projector_terms(spec):
-        term_energies[label] = float(psi @ (term @ psi))
+    max_term = max(abs(float(psi @ (term @ psi))) for _, term in iter_projector_terms(spec))
     result = lowest_spectrum(build_hamiltonian(spec), k=2, seed=seed)
     ground = result.vectors[:, 0]
     overlap = abs(float(ground @ psi))
-    max_term = max(abs(v) for v in term_energies.values())
     passed = (
         abs(result.lambda1) <= 1e-10
         and result.ground_degeneracy == 1
@@ -745,5 +753,4 @@ def verify_frustration_free(spec: ChainSpec, seed: int = DEFAULT_SEED) -> Frustr
         max_term_energy=max_term,
         overlap_with_walk_state=overlap,
         passed=passed,
-        term_energies=term_energies,
     )

@@ -71,6 +71,31 @@ def test_global_flags_work_on_either_side(capsys):
     assert before == after
 
 
+# SHA-256 of the help text of the root parser ("") and of every subcommand,
+# at 80 columns
+HELP_SHA256 = {
+    "": "18871f5e4549d839b660f182ea753249e4842f8cae0055119a632dfed47ce9f3",
+    "entropy": "b4873c2654c942914c31f434e2f14131c4a11150bb1dc0f7f0518e5c34ad2722",
+    "spectrum": "c6b39ce7c324111b0e66b4b4b41bf581323d4699c41e7433e85cd2416a8625a8",
+    "gap": "4c963226b71a23e4674785eb38af67f70be762224ad67a04e5a8663fc06e45a0",
+    "classes": "a306845c7a3eee3a93157e45a76583bb41bfb35eb0786c6c7cdbe81e3ed5c183",
+    "markov": "079593aaa2c188199449a8cfdf9a58a969b5ae2f20f9ff0aca2ec17ecf484f94",
+    "excursion": "e85094b1345e82bbfd47f38c838e6634a9f817be1178b71a805d76977e0078d9",
+    "field": "a25bbaabb40d90c8701fe37feeeeeaee5655212a0dd40d372b8658faee933922",
+    "reproduce": "791cc6d9ee2c149fed6ba87155db08dc21e225aceded3da181320945e6fbffff",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256), ids=lambda c: c or "root")
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"] if command else ["--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command]
+
+
 def test_entropy_out_file(tmp_path, capsys):
     target = tmp_path / "entropy.csv"
     assert main(["entropy", "--s", "1", "--n-list", "2", "--out", str(target)]) == EXIT_OK

@@ -23,7 +23,12 @@ from motzkinchain.field import (
     product_state_norm_factor,
     sector_first_order_check,
 )
-from motzkinchain.hamiltonian import ChainSpec, build_hamiltonian
+from motzkinchain.hamiltonian import (
+    ChainSpec,
+    build_hamiltonian,
+    local_move_classes,
+    sector_split,
+)
 from motzkinchain.schmidt import sigma
 
 
@@ -214,6 +219,15 @@ def test_sector_diagonalization_confirms_first_order(two_n, frozen_worst):
     assert check.worst_deviation <= 10.0 * eps0**2
     assert check.worst_deviation == pytest.approx(frozen_worst, rel=1e-6)
     assert check.equal_energy_spread < 1e-12
+
+
+@pytest.mark.parametrize("two_n", [4, 6, 8])
+def test_field_keeps_the_move_class_numbering(two_n):
+    # the field adds only diagonal entries, so the check may read the move
+    # classes' labels against the field operator's sector levels
+    spec = ChainSpec(two_n=two_n, s=1, boundary="open", field_epsilon0=1e-3)
+    sector_of, _ = sector_split(build_hamiltonian(spec).matrix)
+    np.testing.assert_array_equal(sector_of, local_move_classes(two_n, 1).class_id)
 
 
 def test_sector_check_validation():

@@ -19,7 +19,7 @@ from conftest import (
     scan_digits,
 )
 from motzkinchain import hamiltonian
-from motzkinchain.errors import InvalidSpec, SizeExceeded
+from motzkinchain.errors import InvalidSpec, NoConvergence, SizeExceeded
 from motzkinchain.hamiltonian import (
     _FAMILIES,
     ChainSpec,
@@ -35,6 +35,7 @@ from motzkinchain.hamiltonian import (
     lowest_spectrum,
     motzkin_indices,
     reduced_word_of_config,
+    sector_split,
     state_vector,
     verify_frustration_free,
     walk_to_index,
@@ -435,7 +436,7 @@ def test_sector_spectrum_matches_full_dense_oracle(spec, cutoff, monkeypatch):
         assert result.ground_degeneracy == int(np.sum(expected[:k] <= expected[0] + 1e-8))
         # the orbit route against the plain route, which solves every sector
         plain = lowest_spectrum(op.matrix, k=k)
-        assert result.sectors_solved < result.sector_count == plain.sectors_solved
+        assert result.sectors_solved < result.sector_lowest.size == plain.sectors_solved
         np.testing.assert_allclose(
             result.eigenvalues, plain.eigenvalues, rtol=0, atol=_threshold(op)
         )
@@ -590,9 +591,59 @@ def test_dense_representatives_are_bit_identical_to_the_plain_route():
 def test_sectors_solved_is_the_orbit_count(spec, solved, count):
     op = build_hamiltonian(spec)
     result = lowest_spectrum(op, k=2)
-    assert (result.sectors_solved, result.sector_count) == (solved, count)
+    assert (result.sectors_solved, result.sector_lowest.size) == (solved, count)
     plain = lowest_spectrum(op.matrix, k=2)
-    assert plain.sectors_solved == plain.sector_count == count
+    assert plain.sectors_solved == plain.sector_lowest.size == count
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainSpec(two_n=6, s=1, boundary="open", field_epsilon0=1e-3),
+        ChainSpec(two_n=8, s=1, boundary="open", field_epsilon0=1e-3),
+        *(
+            ChainSpec(two_n=two_n, s=2, boundary=boundary)
+            for two_n in (4, 6)
+            for boundary in ("motzkin", "periodic")
+        ),
+        ChainSpec(two_n=4, s=3, boundary="open"),
+    ],
+    ids=str,
+)
+def test_sector_lowest_matches_dense_sector_minima(spec):
+    op = build_hamiltonian(spec)
+    result = lowest_spectrum(op, k=2)
+    sector_of, sizes = sector_split(op.matrix)
+    order = np.argsort(sector_of, kind="stable")
+    permuted = op.matrix[order][:, order].tocsr()
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    minima = [
+        np.linalg.eigvalsh(permuted[lo:hi, lo:hi].toarray())[0]
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    # image sectors take their representative's level, so every sector counts
+    assert result.sectors_solved < sizes.size
+    np.testing.assert_allclose(result.sector_lowest, minima, rtol=0, atol=1e-12)
+
+
+def test_a_sector_level_off_its_vector_raises(monkeypatch):
+    dense_stack = hamiltonian._dense_stack
+    shifted = []
+
+    def shift_first(*args):
+        values, vectors = dense_stack(*args)
+        if not shifted:
+            values = values.copy()
+            values[0, 0] += 1e-6
+            shifted.append(True)
+        return values, vectors
+
+    monkeypatch.setattr(hamiltonian, "_dense_stack", shift_first)
+    # the first stack holds the frozen one-state sectors, none of them the
+    # ground state, so only the per-sector certificate sees the shift
+    with pytest.raises(NoConvergence) as failure:
+        lowest_spectrum(build_hamiltonian(ChainSpec(two_n=6, s=1)), k=1)
+    assert failure.value.best_residual == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_a_map_that_is_no_symmetry_raises(monkeypatch):
