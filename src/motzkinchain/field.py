@@ -95,7 +95,6 @@ class FieldReport:
 
     n: int
     s: int
-    epsilon0: float
     energies: dict[int, float]
     ground_energy: float
     exact_expectations: dict[int, float]
@@ -136,7 +135,6 @@ def field_energies(n: int, s: int, epsilon0: float, m_max: int | None = None) ->
     return FieldReport(
         n=n,
         s=s,
-        epsilon0=epsilon0,
         energies=energies,
         ground_energy=2.0 * sigma(s) * epsilon0,
         exact_expectations=expectations,
@@ -183,7 +181,6 @@ class SectorCheck:
     """
 
     two_n: int
-    epsilon0: float
     class_count: int
     worst_deviation: float
     equal_energy_spread: float
@@ -220,7 +217,6 @@ def sector_first_order_check(two_n: int, epsilon0: float = 1e-3) -> SectorCheck:
     )
     return SectorCheck(
         two_n=two_n,
-        epsilon0=epsilon0,
         class_count=classes.count,
         worst_deviation=worst,
         equal_energy_spread=spread,

@@ -34,6 +34,9 @@ from .walks import enumerate_walks
 
 DIMENSION_GUARD = 2 * 10**7
 DEGENERACY_TOL = 1e-8
+# Residual certificate of every eigenpair, relative to max(|H|_inf, 1); a
+# gap within twice it is zero.
+_RESIDUAL_TOL = 1e-9
 DEFAULT_SEED = 42
 
 BOUNDARIES = ("motzkin", "open", "periodic")
@@ -104,7 +107,7 @@ class SparseOperator:
 _FAMILIES = ("shift", "pair", "cross")
 
 
-def _local_terms(s: int) -> list[tuple[str, str, np.ndarray]]:
+def _local_terms(s: int) -> list[tuple[str, str, sp.coo_matrix]]:
     """Every two-site term once, as ``(name, family, d**2 x d**2 block)``.
 
     A block's row and column index is ``d * (first digit) + second digit``.
@@ -112,10 +115,13 @@ def _local_terms(s: int) -> list[tuple[str, str, np.ndarray]]:
     ``shift-left-k`` (family ``shift``) and ``create-pair-k`` (family
     ``pair``), each the projector onto the antisymmetrized pair of local
     configurations it exchanges; then, when ``s > 1``, ``cross`` (family
-    ``cross``) penalizes every ``|l^k r^i>`` with ``k != i``.  No two blocks
-    share a nonzero entry.
+    ``cross``) penalizes every ``|l^k r^i>`` with ``k != i``.  A block
+    stores only its nonzero entries, row by row: 4 per projector and
+    ``s (s - 1)`` for ``cross``.
     """
     d = 2 * s + 1
+    amp = 1.0 / math.sqrt(2.0)
+    half = amp * amp  # (-amp) * amp rounds to exactly -half
     terms = []
     for k in range(1, s + 1):
         for name, family, a, b in (
@@ -123,32 +129,37 @@ def _local_terms(s: int) -> list[tuple[str, str, np.ndarray]]:
             (f"shift-left-{k}", "shift", 0 * d + k, k * d + 0),
             (f"create-pair-{k}", "pair", 0, k * d + s + k),
         ):
-            vec = np.zeros(d * d)
-            vec[a] = 1.0 / math.sqrt(2.0)
-            vec[b] = -1.0 / math.sqrt(2.0)
-            terms.append((name, family, np.outer(vec, vec)))
+            # |v><v| for v = amp (|a> - |b>), with a < b
+            entries = ([half, -half, -half, half], ([a, a, b, b], [a, b, a, b]))
+            terms.append((name, family, sp.coo_matrix(entries, shape=(d * d, d * d))))
     if s > 1:
         crossed = [k * d + s + i for k in range(1, s + 1) for i in range(1, s + 1) if i != k]
-        cross = np.zeros((d * d, d * d))
-        cross[crossed, crossed] = 1.0
-        terms.append(("cross", "cross", cross))
+        entries = (np.ones(len(crossed)), (crossed, crossed))
+        terms.append(("cross", "cross", sp.coo_matrix(entries, shape=(d * d, d * d))))
     return terms
 
 
-def _block(s: int, families: Sequence[str]) -> np.ndarray:
-    """Sum of the two-site blocks of the chosen families."""
+def _block(s: int, families: Sequence[str]) -> sp.csr_matrix:
+    """Sum of the two-site blocks of the chosen families.
+
+    Every ``create-pair-k`` touches ``|00><00|``; the blocks are added in
+    :func:`_local_terms`' order, which fixes that entry's rounding.
+    """
     d = 2 * s + 1
-    block = np.zeros((d * d, d * d))
-    for _, family, term in _local_terms(s):
-        if family in families:
-            block += term
-    return block
+    chosen = (term for _, family, term in _local_terms(s) if family in families)
+    return sum(chosen, sp.csr_matrix((d * d, d * d)))
 
 
-def _site_digits(dim: int, site: int, two_n: int, d: int) -> np.ndarray:
-    """Digit of every configuration at a 1-based site."""
-    stride = d ** (two_n - site)
-    return (np.arange(dim, dtype=np.int64) // stride) % d
+def _digits(configs: np.ndarray, two_n: int, d: int) -> np.ndarray:
+    """Base-``d`` digits of each configuration: row ``j`` is site ``j + 1``.
+
+    int16 holds every digit ``2s`` that the dimension guard admits.
+    """
+    digits = np.empty((two_n, len(configs)), dtype=np.int16)
+    rest = np.asarray(configs)
+    for row in range(two_n - 1, -1, -1):
+        rest, digits[row] = np.divmod(rest, d)
+    return digits
 
 
 def _site_pairs(spec: ChainSpec) -> list[tuple[str, int, int]]:
@@ -160,7 +171,7 @@ def _site_pairs(spec: ChainSpec) -> list[tuple[str, int, int]]:
     return pairs
 
 
-def _place(block: np.ndarray, first: int, second: int, two_n: int, d: int) -> sp.csr_matrix:
+def _place(block: sp.spmatrix, first: int, second: int, two_n: int, d: int) -> sp.csr_matrix:
     """Put a two-site block on the 1-based sites ``(first, second)``.
 
     Every configuration whose digits on both sites are flat is a base; the
@@ -176,10 +187,11 @@ def _place(block: np.ndarray, first: int, second: int, two_n: int, d: int) -> sp
     bases = np.arange(d ** (two_n - 2), dtype=np.int32)
     for place in sorted((first_place, second_place)):
         bases = (bases // place) * (place * d) + bases % place
-    r, c = np.nonzero(block)
+    entries = block.tocoo()
+    r, c = entries.row, entries.col
     rows = ((r // d) * first_place + (r % d) * second_place).astype(np.int32)[:, None] + bases
     cols = ((c // d) * first_place + (c % d) * second_place).astype(np.int32)[:, None] + bases
-    vals = np.repeat(block[r, c], bases.size)
+    vals = np.repeat(entries.data, bases.size)
     return sp.csr_matrix((vals, (rows.ravel(), cols.ravel())), shape=(dim, dim))
 
 
@@ -200,21 +212,15 @@ def _assemble(spec: ChainSpec, families: Sequence[str]) -> sp.csr_matrix:
 
 def boundary_diagonal(two_n: int, s: int) -> np.ndarray:
     """Penalty vector: right letter on site 1 plus left letter on site 2n."""
-    d = 2 * s + 1
-    dim = d**two_n
-    first = _site_digits(dim, 1, two_n, d)
-    last = _site_digits(dim, two_n, two_n, d)
+    digits = _digits(np.arange((2 * s + 1) ** two_n), two_n, 2 * s + 1)
+    first, last = digits[0], digits[-1]
     return ((first > s).astype(float)) + (((last >= 1) & (last <= s)).astype(float))
 
 
 def field_diagonal(two_n: int, s: int) -> np.ndarray:
     """Non-flat letter count of every configuration."""
-    d = 2 * s + 1
-    dim = d**two_n
-    out = np.zeros(dim)
-    for site in range(1, two_n + 1):
-        out += (_site_digits(dim, site, two_n, d) > 0).astype(float)
-    return out
+    digits = _digits(np.arange((2 * s + 1) ** two_n), two_n, 2 * s + 1)
+    return (digits > 0).sum(axis=0, dtype=float)
 
 
 def build_hamiltonian(spec: ChainSpec) -> SparseOperator:
@@ -246,8 +252,9 @@ def build_interaction_part(spec: ChainSpec) -> SparseOperator:
 def iter_projector_terms(spec: ChainSpec) -> Iterator[tuple[str, sp.csr_matrix]]:
     """Yield every individual projector term of the Hamiltonian."""
     spec.check_size()
+    terms = _local_terms(spec.s)
     for label, first, second in _site_pairs(spec):
-        for name, _, block in _local_terms(spec.s):
+        for name, _, block in terms:
             yield f"{label}:{name}", _place(block, first, second, spec.two_n, spec.d)
     if spec.boundary == "motzkin":
         yield "boundary", sp.diags(boundary_diagonal(spec.two_n, spec.s)).tocsr()
@@ -328,15 +335,13 @@ def sector_split(matrix: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
     return sector_of, np.bincount(sector_of, minlength=count)
 
 
-def _relabel(two_n: int, d: int, letters: np.ndarray, reverse: bool) -> np.ndarray:
+def _relabel(digits: np.ndarray, d: int, letters: np.ndarray) -> np.ndarray:
     """Index of every configuration after each digit ``c`` becomes
-    ``letters[c]`` and, when ``reverse``, the sites are read backwards."""
-    rest = np.arange(d**two_n, dtype=np.int32)
-    out = np.zeros_like(rest)
-    for place in range(two_n):  # place 0 is the last site
-        digit = rest % d
-        rest //= d
-        out += letters[digit] * np.int32(d ** (two_n - 1 - place if reverse else place))
+    ``letters[c]``, the rows of ``digits`` read as sites 1, 2, ..."""
+    out = np.zeros(digits.shape[1], dtype=np.int32)
+    for row in digits:
+        out *= d
+        out += letters[row]
     return out
 
 
@@ -351,13 +356,14 @@ def _symmetry_maps(spec: ChainSpec) -> list[np.ndarray]:
     colors alike.
     """
     s, d = spec.s, spec.d
+    digits = _digits(np.arange(spec.dim, dtype=np.int32), spec.two_n, d)
     letters = np.arange(d, dtype=np.int32)
-    mirror = np.concatenate(([0], letters[s + 1:], letters[1:s + 1]))
-    maps = [_relabel(spec.two_n, d, mirror, reverse=True)]
+    mirror = np.concatenate((letters[:1], letters[s + 1:], letters[1:s + 1]))
+    maps = [_relabel(digits[::-1], d, mirror)]
     for c in range(1, s):
         swap = letters.copy()
         swap[[c, c + 1, s + c, s + c + 1]] = [c + 1, c, s + c + 1, s + c]
-        maps.append(_relabel(spec.two_n, d, swap, reverse=False))
+        maps.append(_relabel(digits, d, swap))
     return maps
 
 
@@ -512,7 +518,7 @@ def lowest_spectrum(
         raise InvalidSpec("k must be >= 1")
     k = min(k, dim)
     norm = float(np.max(np.abs(matrix).sum(axis=1))) if matrix.nnz else 0.0
-    threshold = 1e-9 * max(norm, 1.0)
+    threshold = _RESIDUAL_TOL * max(norm, 1.0)
 
     sector_of, sector_sizes = sector_split(matrix)
     sector_count = sector_sizes.size
@@ -558,7 +564,7 @@ def lowest_spectrum(
     residual = np.sqrt(np.bincount(rows, (permuted @ low - level * low) ** 2, sector_count))
     bound = np.ones(sector_count)  # max(|block|_inf, 1)
     np.maximum.at(bound, rows, np.asarray(abs(permuted).sum(axis=1)).ravel())
-    if np.any(residual > 1e-9 * bound):
+    if np.any(residual > _RESIDUAL_TOL * bound):
         raise NoConvergence(f"sector residual {residual.max():.3e} too high", residual.max())
     sector_lowest = np.zeros(sector_count)
     sector_lowest[rows] = level
@@ -638,7 +644,7 @@ def gap_scan(
                 "max_residual": float(result.residuals.max()),
             }
         )
-        if zero_gap_at is None and result.gap <= 2e-9 * max(result.norm_bound, 1.0):
+        if zero_gap_at is None and result.gap <= 2 * _RESIDUAL_TOL * max(result.norm_bound, 1.0):
             zero_gap_at = two_n
     if zero_gap_at is not None:
         return GapScanResult(rows=rows, slope=None, stderr=None, zero_gap_at=zero_gap_at)
@@ -674,19 +680,6 @@ class MoveClasses:
         return len(self.members)
 
 
-def _reduced_word(digits: Sequence[int], s: int) -> tuple[int, ...]:
-    """Drop flats and cancel adjacent same-color up-down pairs."""
-    out: list[int] = []
-    for digit in digits:
-        if digit == 0:
-            continue
-        if digit > s and out and out[-1] == digit - s:
-            out.pop()
-        else:
-            out.append(digit)
-    return tuple(out)
-
-
 def _word_label(word: Sequence[int], s: int) -> tuple[int, int] | None:
     """(right-excess, left-excess) when the word is rights then lefts."""
     p = 0
@@ -702,19 +695,19 @@ def local_move_classes(two_n: int, s: int, periodic: bool = False) -> MoveClasse
 
     Only the moves have off-diagonal entries in the open (or periodic) chain
     Hamiltonian, so the classes are its sectors, labeled by the reduced word
-    of their smallest member.
+    of their smallest member.  Flats and cancelled pairs aside, the moves
+    keep that word; each member has at least its letters, and the flat
+    digit is the smallest, so the smallest member is flats then the word,
+    read off its nonzero digits.  A ring class is a union of open ones.
     """
     spec = ChainSpec(two_n=two_n, s=s, boundary="periodic" if periodic else "open")
     class_id, sizes = sector_split(build_hamiltonian(spec).matrix)
-    members = np.split(np.argsort(class_id, kind="stable"), np.cumsum(sizes)[:-1])
-    labels = [_word_label(reduced_word_of_config(int(m[0]), two_n, s), s) for m in members]
+    order = np.argsort(class_id, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    smallest = _digits(order[starts], two_n, spec.d).T.tolist()
+    labels = [_word_label([digit for digit in row if digit], s) for row in smallest]
+    members = np.split(order, starts[1:])
     return MoveClasses(two_n=two_n, s=s, class_id=class_id, members=members, labels=labels)
-
-
-def reduced_word_of_config(config: int, two_n: int, s: int) -> tuple[int, ...]:
-    d = 2 * s + 1
-    digits = [(config // d ** (two_n - site)) % d for site in range(1, two_n + 1)]
-    return _reduced_word(digits, s)
 
 
 # ---------------------------------------------------------------------------

@@ -81,16 +81,12 @@ def schmidt_spectrum(table: CountTable) -> SchmidtSpectrum:
     )
 
 
-def entropy_exact(
-    n: int, s: int, base: str = "nats", table: CountTable | None = None
-) -> float:
+def entropy_exact(n: int, s: int, table: CountTable | None = None) -> float:
     """Entanglement entropy ``-sum_m s**m p_m ln p_m`` across the middle cut.
 
     Works from exact counts up to ``n = EXACT_LIMIT`` and from the log-space
-    table beyond; ``base`` is ``"nats"`` or ``"bits"``.
+    table beyond.
     """
-    if base not in ("nats", "bits"):
-        raise InvalidSpec(f"unknown entropy base {base!r}")
     if table is None:
         table = CountTable.build(n, s)
     elif (table.n, table.s) != (n, s):
@@ -98,33 +94,25 @@ def entropy_exact(
     logw = table.log_schmidt_weight()
     logp = schmidt_spectrum(table).log_probability
     keep = logw >= np.max(logw) + TRUNCATION_LOG_CUTOFF
-    entropy = -float(np.sum(np.exp(logw[keep]) * logp[keep]))
-    if base == "bits":
-        entropy /= math.log(2.0)
-    return entropy
+    return -float(np.sum(np.exp(logw[keep]) * logp[keep]))
 
 
-def entropy_asymptotic(n: int, s: int, base: str = "nats") -> float:
+def entropy_asymptotic(n: int, s: int) -> float:
     """Large-``n`` entropy: ``2 ln(s) sqrt(2 sigma / pi) sqrt(n) + (1/2) ln n + c``.
 
     The additive constant is ``gamma - 1/2 + (ln 2 + ln pi + ln sigma)/2``.
     For one color the leading term vanishes and the logarithm dominates.
     """
-    if base not in ("nats", "bits"):
-        raise InvalidSpec(f"unknown entropy base {base!r}")
     if n < 1:
         raise InvalidSpec("n must be >= 1")
     sig = sigma(s)
-    value = (
+    return (
         2.0 * math.log(s) * math.sqrt(2.0 * sig / math.pi) * math.sqrt(n)
         + 0.5 * math.log(n)
         + EULER_GAMMA
         - 0.5
         + 0.5 * (math.log(2.0) + math.log(math.pi) + math.log(sig))
     )
-    if base == "bits":
-        value /= math.log(2.0)
-    return value
 
 
 def entropy_constant_bits() -> float:

@@ -34,7 +34,6 @@ from motzkinchain.hamiltonian import (
     local_move_classes,
     lowest_spectrum,
     motzkin_indices,
-    reduced_word_of_config,
     sector_split,
     state_vector,
     verify_frustration_free,
@@ -210,7 +209,7 @@ def test_dimension_guard():
 
 def pair_block(s: int) -> np.ndarray:
     """Dense ``d**2 x d**2`` two-site energy block: every local term."""
-    return _block(s, _FAMILIES)
+    return _block(s, _FAMILIES).toarray()
 
 
 def move_block(s: int, families: str = "all") -> np.ndarray:
@@ -221,13 +220,24 @@ def move_block(s: int, families: str = "all") -> np.ndarray:
     """
     if families not in ("all", "shift", "pair"):
         raise InvalidSpec(f"unknown family selector {families!r}")
-    return _block(s, ("shift", "pair") if families == "all" else (families,))
+    return _block(s, ("shift", "pair") if families == "all" else (families,)).toarray()
 
 
 @pytest.mark.parametrize(("s", "rank"), [(1, 3), (2, 8), (3, 15)])
 def test_pair_block_rank_is_s_times_s_plus_two(s, rank):
     block = pair_block(s)
     assert np.linalg.matrix_rank(block, tol=1e-10) == rank == s * (s + 2)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 10])
+def test_local_terms_store_only_their_nonzero_entries(s):
+    d = 2 * s + 1
+    terms = hamiltonian._local_terms(s)
+    assert len(terms) == 3 * s + (s > 1)
+    for name, _, block in terms:
+        assert block.shape == (d * d, d * d)
+        assert block.nnz == (s * (s - 1) if name == "cross" else 4)
+        assert np.all(block.data != 0)
 
 
 def test_move_block_family_split():
@@ -833,11 +843,40 @@ def test_periodic_ground_degeneracy_smallest_chain():
     assert int((values < 1e-10).sum()) == 4 * 2 + 1  # 4n + 1 at n = 2
 
 
-def test_reduced_word_of_walk_config_is_empty():
-    for s in (1, 2):
-        for walk in enumerate_walks(4, s, kind="motzkin"):
-            config = walk_to_index(walk, s)
-            assert reduced_word_of_config(config, 4, s) == ()
+def _reduce_by_rewriting(digits, s):
+    """Nonzero letters, with adjacent same-color open-close pairs deleted
+    one at a time until none is left."""
+    word = [digit for digit in digits if digit]
+    while True:
+        for i in range(len(word) - 1):
+            if word[i] <= s and word[i + 1] == word[i] + s:
+                del word[i:i + 2]
+                break
+        else:
+            return tuple(word)
+
+
+@pytest.mark.parametrize(
+    ("two_n", "s"), [(2, 1), (4, 1), (6, 1), (8, 1), (2, 2), (4, 2), (6, 2), (2, 3), (4, 3)]
+)
+def test_smallest_member_is_flats_then_its_reduced_word(two_n, s):
+    strings = list(all_digit_strings(two_n, s))
+    open_classes = local_move_classes(two_n, s)
+    ring = local_move_classes(two_n, s, periodic=True)
+    for classes in (open_classes, ring):
+        for members in classes.members:
+            smallest = strings[members[0]]
+            word = _reduce_by_rewriting(smallest, s)
+            assert smallest == (0,) * (two_n - len(word)) + word
+            # with no unmatched close, the word is the stack of unmatched opens
+            closed = all(digit <= s for digit in word)
+            assert scan_digits(smallest, s) == (list(word) if closed else None)
+    for members in open_classes.members:
+        # the moves keep the word, and a ring class is a union of open ones
+        assert {_reduce_by_rewriting(strings[m], s) for m in members} == {
+            _reduce_by_rewriting(strings[members[0]], s)
+        }
+        assert np.unique(ring.class_id[members]).size == 1
 
 
 # ---------------------------------------------------------------------------
@@ -852,6 +891,17 @@ def test_boundary_diagonal_counts_edge_letters():
         for i, digits in enumerate(all_digit_strings(4, s)):
             expected = float(digits[0] > s) + float(1 <= digits[-1] <= s)
             assert diag[i] == expected
+
+
+@pytest.mark.parametrize("s", [63, 64, 100])
+def test_digits_hold_every_letter(s):
+    d = 2 * s + 1
+    configs = np.arange(d * d)
+    first, second = hamiltonian._digits(configs, 2, d)
+    np.testing.assert_array_equal(first, configs // d)
+    np.testing.assert_array_equal(second, configs % d)
+    expected = (configs // d > s).astype(float) + ((configs % d >= 1) & (configs % d <= s))
+    np.testing.assert_array_equal(boundary_diagonal(2, s), expected)
 
 
 def test_field_diagonal_counts_letters():

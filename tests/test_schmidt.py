@@ -152,14 +152,6 @@ def test_entropy_two_site_values():
     assert entropy_exact(1, 2) == pytest.approx(math.log(3.0), rel=1e-14)
 
 
-def test_entropy_bits_conversion():
-    nats = entropy_exact(4, 2)
-    bits = entropy_exact(4, 2, base="bits")
-    assert bits == pytest.approx(nats / math.log(2.0), rel=1e-14)
-    with pytest.raises(InvalidSpec):
-        entropy_exact(4, 2, base="trits")
-
-
 @pytest.mark.parametrize(("n", "s"), [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
 def test_entropy_matches_brute_force(n, s):
     assert entropy_exact(n, s) == pytest.approx(brute_entropy_nats(n, s), abs=1e-10)
