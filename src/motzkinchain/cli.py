@@ -160,7 +160,7 @@ def _entropy_rows(n_values: list[int], s: int, mode: str) -> list[list]:
 
     rows = []
     for n in n_values:
-        table = CountTable.build(n, s, mode=mode)
+        table = None if mode == "auto" else CountTable.build(n, s, mode=mode)
         exact = entropy_exact(n, s, table=table)
         asymptotic = entropy_asymptotic(n, s)
         rows.append([n, s, exact, asymptotic, exact / asymptotic])
@@ -367,23 +367,23 @@ _GLOBAL_FLAGS = (
 def build_parser() -> argparse.ArgumentParser:
     """The root parser and its subcommands, each carrying the global flags.
 
-    The root copy of a global flag carries the real default; the subcommand
-    copies default to SUPPRESS, so a flag placed after the subcommand
-    overrides the root value and an absent flag leaves it alone.  Both
-    orders then work.
+    The root copy of a global flag carries the real default; the subcommands
+    take theirs from one parent parser whose copies default to SUPPRESS, so
+    a flag placed after the subcommand overrides the root value and an
+    absent flag leaves it alone.  Both orders then work.
     """
     parser = argparse.ArgumentParser(
         prog="motzkinchain",
         description="Colored Motzkin chain numerics: entropy, spectra, mixing, fields.",
     )
+    shared = argparse.ArgumentParser(add_help=False)
     for flag, default, options in _GLOBAL_FLAGS:
         parser.add_argument(flag, default=default, **options)
+        shared.add_argument(flag, default=argparse.SUPPRESS, **options)
     commands = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, summary: str, handler, format_default):
-        sub = commands.add_parser(name, help=summary)
-        for flag, _, options in _GLOBAL_FLAGS:
-            sub.add_argument(flag, default=argparse.SUPPRESS, **options)
+        sub = commands.add_parser(name, help=summary, parents=[shared])
         sub.set_defaults(handler=handler, format_default=format_default)
         return sub
 

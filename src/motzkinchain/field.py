@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -51,16 +52,20 @@ def field_expectation_exact(n: int, m: int, s: int) -> float:
     to ``n = EXACT_LIMIT``; log space beyond that, up to ``n = LOG_LIMIT``.
     """
     _check_height_args(n, m, s)
-    pairs_max = (n - m) // 2
     if n <= EXACT_LIMIT:
         terms = halfwalk_term_row(n, m, s)
         num = sum(i * term for i, term in enumerate(terms))
         return m + float(Fraction(2 * num, sum(terms)))
     if n > LOG_LIMIT:
         raise SizeExceeded(f"log-space sums stop at n = {LOG_LIMIT}")
+    return _log_mean(m, next(log_halfwalk_terms(n, s, m, m + 1))[0])
+
+
+def _log_mean(m: int, log_terms: np.ndarray) -> float:
+    """``m + 2 sum_i i T_i / sum_i T_i`` from the row ``log T_0..log T_p``."""
+    pairs_max = log_terms.size - 1
     if pairs_max == 0:
         return float(m)
-    log_terms = next(log_halfwalk_terms(n, s, m, m + 1))[0]
     log_den = _logsumexp(log_terms)
     log_num = _logsumexp(log_terms[1:] + np.log(np.arange(1, pairs_max + 1)))
     return m + 2.0 * math.exp(log_num - log_den)
@@ -119,11 +124,17 @@ def field_energies(n: int, s: int, epsilon0: float, m_max: int | None = None) ->
         m_max = two_n
     if not 0 <= m_max <= two_n:
         raise DomainError(f"m_max must lie in [0, {two_n}]")
+    _check_height_args(two_n, m_max, s)
+    if two_n <= EXACT_LIMIT:
+        means = (field_expectation_exact(two_n, m, s) for m in range(m_max + 1))
+    else:
+        # one term generator for every height, each row cut to its length
+        rows = chain.from_iterable(log_halfwalk_terms(two_n, s, 0, m_max + 1))
+        means = (_log_mean(m, row[: (two_n - m) // 2 + 1]) for m, row in enumerate(rows))
     expectations: dict[int, float] = {}
     energies: dict[int, float] = {}
     previous = 0.0
-    for m in range(m_max + 1):
-        mean = field_expectation_exact(two_n, m, s)
+    for m, mean in enumerate(means):
         shift = epsilon0 / two_n * mean
         if not 0.0 < shift <= epsilon0 * (1.0 + 1e-12):
             raise InvalidSpec(f"sector shift {shift:g} escaped (0, epsilon0]")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -139,8 +140,9 @@ def _local_terms(s: int) -> list[tuple[str, str, sp.coo_matrix]]:
     return terms
 
 
-def _block(s: int, families: Sequence[str]) -> sp.csr_matrix:
-    """Sum of the two-site blocks of the chosen families.
+@lru_cache(maxsize=8)
+def _block(s: int, families: tuple[str, ...]) -> sp.csr_matrix:
+    """Sum of the two-site blocks of the chosen families; cached, so read-only.
 
     Every ``create-pair-k`` touches ``|00><00|``; the blocks are added in
     :func:`_local_terms`' order, which fixes that entry's rounding.
@@ -195,7 +197,7 @@ def _place(block: sp.spmatrix, first: int, second: int, two_n: int, d: int) -> s
     return sp.csr_matrix((vals, (rows.ravel(), cols.ravel())), shape=(dim, dim))
 
 
-def _assemble(spec: ChainSpec, families: Sequence[str]) -> sp.csr_matrix:
+def _assemble(spec: ChainSpec, families: tuple[str, ...]) -> sp.csr_matrix:
     """The chosen families' blocks on every site pair, summed pair by pair.
 
     One CSR per site pair, added in turn: a single concatenation of all the

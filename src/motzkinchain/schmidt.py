@@ -84,11 +84,12 @@ def schmidt_spectrum(table: CountTable) -> SchmidtSpectrum:
 def entropy_exact(n: int, s: int, table: CountTable | None = None) -> float:
     """Entanglement entropy ``-sum_m s**m p_m ln p_m`` across the middle cut.
 
-    Works from exact counts up to ``n = EXACT_LIMIT`` and from the log-space
-    table beyond.
+    Without a table, works from exact counts up to ``n = EXACT_LIMIT`` and
+    beyond that from the log-space rows that carry Schmidt weight
+    (:meth:`CountTable.weighted`), which give the full log table's bits.
     """
     if table is None:
-        table = CountTable.build(n, s)
+        table = CountTable.build(n, s) if n <= EXACT_LIMIT else CountTable.weighted(n, s)
     elif (table.n, table.s) != (n, s):
         raise InvalidSpec("table does not match the requested (n, s)")
     logw = table.log_schmidt_weight()

@@ -13,11 +13,11 @@ token text writes the same letters as ``0``, ``dc`` and ``uc``.
 The module offers two arithmetic routes for the counting functions:
 
 * exact arbitrary-precision integers, used for half-chain lengths up to
-  ``EXACT_LIMIT``;
+  ``EXACT_LIMIT``, a row at a time from an O(n) recurrence;
 * natural-log floating point built on ``gammaln``, usable far beyond that:
-  chunks of every height's summands are filled into one reused buffer from
-  1-D tables, then summed by log-sum-exp with ``exp`` spared every entry
-  that underflows, keeping every bit of the per-height formula.
+  only the window of each row's terms that can reach a nonzero float after
+  ``exp`` is built, and only the rows that carry Schmidt weight when that
+  is all that is asked, keeping every bit of the per-height formula.
 
 ``CountTable`` bundles both and is the input to the Schmidt-spectrum and
 external-field modules.
@@ -39,6 +39,10 @@ EXACT_LIMIT = 300
 ENUMERATION_GUARD = 10**8
 # entries per chunk of log-space summands (256 KiB), so a table's memory is O(n)
 _TERM_CHUNK = 2**15
+# row entries a log-space table may sum (n**2/4 in full; 1.2e10 weighted at n = 10**6)
+LOG_WORK_LIMIT = 3 * 10**10
+# exp is an exact 0 below -745.2: terms this far below their peak, with 4 to spare
+_WINDOW_DEPTH = 750.0
 
 
 def encode_walk(walk: Sequence[int], s: int) -> str:
@@ -192,29 +196,21 @@ def motzkin_number(length: int, s: int = 1) -> int:
     )
 
 
-def halfwalk_table(max_length: int, s: int) -> list[list[int]]:
-    """DP table ``T[L][h]`` of colored prefix counts, heights ``0..max_length``.
+def halfwalk_row(n: int, s: int) -> list[int]:
+    """``M(n, m, s)`` for ``m = 0..n`` in O(n) integer steps.
 
-    Independent route from :func:`colored_halfwalk_count`: the transfer
-    recurrence, read off the final step of the prefix, is
-
-        T[L][h] = T[L-1][h] + T[L-1][h-1] + s * T[L-1][h+1]
-
-    (flat, fresh unmatched up, and a down completing a colored pair).
+    ``c_j = [x^j] (x + 1 + s/x)**n`` counts the free walks, ``s`` per down
+    step; ``x P' (x + 1 + s/x) = n P (x - s/x)`` gives the exact division
+    ``(n - j + 1) c_{j-1} = s (n + j + 1) c_{j+1} + j c_j`` from ``c_n = 1``,
+    ``c_{n+1} = 0``, and reflecting about -1, ``M(n, m, s) = c_m - s c_{m+2}``.
     """
     if s < 1:
         raise InvalidSpec("color count s must be >= 1")
-    table = [[0] * (max_length + 2) for _ in range(max_length + 1)]
-    table[0][0] = 1
-    for L in range(1, max_length + 1):
-        prev = table[L - 1]
-        row = table[L]
-        for h in range(L + 1):
-            val = prev[h] + s * prev[h + 1]
-            if h:
-                val += prev[h - 1]
-            row[h] = val
-    return [row[: L + 1] for L, row in enumerate(table)]
+    c = [0] * (n + 3)
+    c[n] = 1
+    for j in range(n, 0, -1):
+        c[j - 1] = (s * (n + j + 1) * c[j + 1] + j * c[j]) // (n - j + 1)
+    return [c[m] - s * c[m + 2] for m in range(n + 1)]
 
 
 def full_walk_count(n: int, s: int) -> int:
@@ -264,78 +260,168 @@ def _log_factorials(n: int) -> np.ndarray:
     return gammaln(np.arange(n + 1, dtype=float) + 1.0)
 
 
+def _check_log_work(entries: int) -> None:
+    if entries > LOG_WORK_LIMIT:
+        raise SizeExceeded(f"{entries:.3g} log-space row entries exceed LOG_WORK_LIMIT")
+
+
+class _LogTerms:
+    """The summands of ``log M(n, m, s)``, ``k = 2i+m``, ``j = i+m``, ``i`` pairs:
+
+        log C(n, k) + (log k! - log i! - log j!) + log((m+1)/(j+1)) + i log s
+
+    (the ballot difference folded into ``(m+1)/(j+1)``, so nothing cancels),
+    -inf past a row's last pair count ``(n-m)//2``."""
+
+    def __init__(self, n: int, s: int):
+        self.n, self.s = n, s
+        self.fact = _log_factorials(n)
+        self.up = np.concatenate([self.fact, np.zeros(n + 1)])
+        # zeros above n and +inf below 0 make a term past its row's end -inf
+        below = np.concatenate([self.fact[::-1], np.full(n + 1, math.inf)])
+        self.log_binom = self.fact[n] - self.up - below
+        self.plus_one = np.arange(1.0, 2 * n + 3)
+        self.pair_weight = np.arange(n // 2 + 1.0) * math.log(s)
+
+    @staticmethod
+    def _fill(out, part, log_binom_k, fact_k, fact_i, fact_j, m_plus_one, j_plus_one, weight_i):
+        # operands are strided views or gathered arrays: the same float ops either way
+        np.copyto(out, log_binom_k)
+        np.subtract(fact_k, fact_i, out=part)
+        out += np.subtract(part, fact_j, out=part)
+        out += np.log(np.divide(m_plus_one, j_plus_one, out=part), out=part)
+        out += weight_i
+        return out
+
+    def block(self, m0: int, c0: int, out: np.ndarray, part: np.ndarray) -> np.ndarray:
+        """Rows ``m0, m0+1, ...`` and pair counts ``c0, c0+1, ...`` into ``out``."""
+        (g, w), step = out.shape, self.up.strides[0]
+
+        def view(table, start, col_step):
+            return np.ndarray((g, w), float, table, start * step, (step, col_step * step))
+
+        k0, j0 = m0 + 2 * c0, m0 + c0
+        return self._fill(
+            out, part, view(self.log_binom, k0, 2), view(self.up, k0, 2), self.fact[c0 : c0 + w],
+            view(self.up, j0, 1), self.plus_one[m0 : m0 + g, None], view(self.plus_one, j0, 1),
+            self.pair_weight[c0 : c0 + w],
+        )
+
+    def points(self, m: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """The terms at the index pairs ``(m, i)``."""
+        k, j = m + 2 * i, m + i
+        return self._fill(
+            np.empty(m.shape), np.empty(m.shape), self.log_binom[k], self.up[k], self.fact[i],
+            self.up[j], self.plus_one[m], self.plus_one[j], self.pair_weight[i],
+        )
+
+    def peaks(self, m: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """Each row's peak: ``t(i+1)/t(i) = s (a-2i)(a-2i-1) / ((i+1)(i+m+2))``,
+        ``a = n-m``, falls in ``i``, and ``t(i+1) <= t(i)`` over ``s`` reads
+        ``A i^2 - B i + C <= 0``, first met at ``2C / (B + sqrt(B^2 - 4AC))`` rounded up."""
+        a, inv_s = self.n - m, math.exp(-math.log(self.s))
+        b = 2.0 * (2.0 * a - 1.0) + (m + 3.0) * inv_s
+        c = a * (a - 1.0) - (m + 2.0) * inv_s
+        root = 2.0 * c / (b + np.sqrt(b * b - 4.0 * (4.0 - inv_s) * c))
+        return np.clip(np.ceil(root), 0, last).astype(np.int64)
+
+
 def log_halfwalk_terms(n: int, s: int, m_start: int, m_stop: int) -> Iterator[np.ndarray]:
-    """Yield the summands of ``log M(n, m, s)`` for heights ``m_start <= m < m_stop``.
-
-    Each chunk holds consecutive heights in rows and the pair count ``i``
-    along columns, starting at 0, with the term
-
-        log C(n, 2i+m) + log C(2i+m, i) + log((m+1)/(i+m+1)) + i log s
-
-    and -inf past a row's last pair count ``(n-m)//2``.  The ballot
-    difference is folded into the positive factor ``(m+1)/(i+m+1)`` so no
-    cancellation occurs.  A chunk holds about ``_TERM_CHUNK`` entries.
-
-    What depends on one index alone is a 1-D table built once per call:
-    ``log C(n, k)``, ``j + 1.0`` and ``i log s``.  A chunk adds to a strided
-    copy of the first ``log k! - log i! - log (i+m)!``, the log of a division
-    of two views of the second, and the third: the float operations of the
-    formula above in its order, so every term keeps its bits.  Each chunk is
-    a view of one buffer that the next chunk overwrites; copy one to keep it.
-    """
-    fact = _log_factorials(n)
-    # k = 2i+m and i+m may pass n, and n-k drop below zero, only past a row's
-    # end: zeros above and +inf below make those entries come out -inf
-    up = np.concatenate([fact, np.zeros(n + 1)])
-    log_binom = fact[n] - up - np.concatenate([fact[::-1], np.full(n + 1, math.inf)])
-    plus_one = np.arange(1.0, 2 * n + 3)
-    pair_weight = np.arange(n // 2 + 1.0) * math.log(s)
+    """Yield the summands of ``log M(n, m, s)`` (see :class:`_LogTerms`) for
+    ``m_start <= m < m_stop``: chunks of about ``_TERM_CHUNK`` entries,
+    heights in rows, pair counts from 0 in columns, each a view of one
+    buffer that the next chunk overwrites; copy one to keep it."""
+    terms = _LogTerms(n, s)
     width = (n - m_start) // 2 + 1
     buffer, scratch = np.empty((2, min(max(_TERM_CHUNK, width), max(m_stop - m_start, 0) * width)))
-    step = up.strides[0]
     m0 = m_start
     while m0 < m_stop:
         width = (n - m0) // 2 + 1
         shape = (min(m_stop - m0, max(1, _TERM_CHUNK // width)), width)
-        terms, part = (b[: shape[0] * width].reshape(shape) for b in (buffer, scratch))
-        np.copyto(terms, np.ndarray(shape, float, log_binom, m0 * step, (step, 2 * step)))
-        k_fact = np.ndarray(shape, float, up, m0 * step, (step, 2 * step))
-        np.subtract(k_fact, fact[:width], out=part)
-        terms += np.subtract(part, np.ndarray(shape, float, up, m0 * step, (step, step)), out=part)
-        # column 0 of j + 1.0, at j = m + i, is m + 1.0
-        j_plus_one = np.ndarray(shape, float, plus_one, m0 * step, (step, step))
-        terms += np.log(np.divide(j_plus_one[:, :1], j_plus_one, out=part), out=part)
-        terms += pair_weight[:width]
-        yield terms
+        yield terms.block(m0, 0, *(b[: shape[0] * width].reshape(shape) for b in (buffer, scratch)))
         m0 += shape[0]
 
 
-def _log_halfwalk(n: int, s: int, m_start: int, m_stop: int) -> np.ndarray:
-    """``log M(n, m, s)`` for ``m_start <= m < m_stop``, one log-sum-exp per row.
+def _row_windows(terms: _LogTerms, weighted: bool) -> tuple[int, np.ndarray, np.ndarray]:
+    """The first row to build, and the first and last pair count of each
+    built row's window, the terms within ``_WINDOW_DEPTH`` of its peak.
+    With ``weighted``, end rows are left out whose length times peak term,
+    weighted ``s**m`` and squared, lies ``_WINDOW_DEPTH`` below the largest
+    weighted peak: their share of the total rounds to an exact 0."""
+    m = np.arange(terms.n + 1)
+    last = (terms.n - m) // 2
+    peak = terms.peaks(m, last)
+    top = terms.points(m, peak)
+    rows = slice(0, terms.n + 1)
+    if weighted:
+        weight = m * math.log(terms.s) + 2.0 * top
+        kept = np.flatnonzero(weight + 2.0 * np.log(last + 1.0) >= weight.max() - _WINDOW_DEPTH)
+        rows = slice(int(kept[0]), int(kept[-1]) + 1)
+        _check_log_work(int(np.sum(last[rows] + 1)))
+    # how far each window reaches from the peak, down (first half) and up
+    count = rows.stop - rows.start
+    m, floor = np.tile(m[rows], 2), np.tile(top[rows] - _WINDOW_DEPTH, 2)
+    base, side = np.tile(peak[rows], 2), np.repeat([-1, 1], count)
+    hi = np.concatenate([peak[rows], last[rows] - peak[rows]])
+    # a side whose far end reaches the floor reaches it throughout
+    lo = np.where(terms.points(m, base + side * hi) >= floor, hi, 0)
+    active = np.flatnonzero(lo < hi)
+    while active.size:
+        a, b = lo[active], hi[active]
+        mid = (a + b + 1) // 2
+        reach = terms.points(m[active], base[active] + side[active] * mid) >= floor[active]
+        lo[active], hi[active] = np.where(reach, mid, a), np.where(reach, b, mid - 1)
+        active = active[lo[active] < hi[active]]
+    return rows.start, base[:count] - lo[:count], base[count:] + lo[count:]
 
-    Each row is summed as its own contiguous slice, which keeps the pairwise
-    grouping of a 1-D ``np.sum``; a 2-D sum over the -inf padding does not,
-    and moves the last bit.  ``exp`` rounds anything below -746 to an exact
-    0, but through a slow path (about 16 times the cost), so such entries and
-    the padding go in as 0 and come out as 0: every row sum sees the same array.
-    """
-    out = []
-    for terms in log_halfwalk_terms(n, s, m_start, m_stop):
-        peaks = terms.max(axis=1)
-        terms -= peaks[:, None]
-        zero = terms < -746.0
-        np.copyto(terms, 0.0, where=zero)
-        np.exp(terms, out=terms)
-        np.copyto(terms, 0.0, where=zero)
-        for row, peak in zip(terms, peaks):
-            m = m_start + len(out)
-            out.append(float(peak) + math.log(float(row[: (n - m) // 2 + 1].sum())))
-    return np.array(out, dtype=float)
+
+def _log_halfwalk(n: int, s: int, weighted: bool) -> tuple[np.ndarray, float]:
+    """``log M(n, m, s)`` for ``m = 0..n`` (-inf for rows not built) and the
+    log full-walk count, from the windows of :func:`_row_windows`, built for
+    runs of rows over the union of their windows.  Each row is summed as a
+    full-length 1-D row, zero outside the window: ``np.sum``'s pairwise
+    grouping depends only on length and positions, so the bits are those
+    of the whole row."""
+    terms = _LogTerms(n, s)
+    r, first, final = _row_windows(terms, weighted)
+    m_lo = r
+    padded = np.zeros(max(4 * _TERM_CHUNK, n // 2 + 1))
+    out = np.full(n + 1, -math.inf)
+    while r < m_lo + first.size:
+        # the rows from r whose union window fits a chunk and whose rows fit `padded`
+        k, length = r - m_lo, (n - r) // 2 + 1
+        cap = min(first.size - k, padded.size // length)
+        cap = min(cap, max(1, _TERM_CHUNK // int(final[k] - first[k] + 1)))
+        c0 = np.minimum.accumulate(first[k : k + cap])
+        c1 = np.maximum.accumulate(final[k : k + cap]) + 1
+        g = max(1, int(np.count_nonzero(np.arange(1, cap + 1) * (c1 - c0) <= _TERM_CHUNK)))
+        c0, c1 = int(c0[g - 1]), int(c1[g - 1])
+        grid = padded[: g * length].reshape(g, length)
+        block = terms.block(r, c0, grid[:, c0:c1], np.empty((g, c1 - c0)))
+        peaks = block.max(axis=1)
+        block -= peaks[:, None]
+        # exp rounds these to an exact 0 too, but through a slow path
+        zero = block < -746.0
+        np.copyto(block, 0.0, where=zero)
+        np.exp(block, out=block)
+        np.copyto(block, 0.0, where=zero)
+        for row, peak in zip(grid, peaks.tolist()):
+            out[r] = peak + math.log(float(np.add.reduce(row[: (n - r) // 2 + 1])))
+            r += 1
+        block[...] = 0.0
+    return out, _logsumexp(np.arange(n + 1) * math.log(s) + 2.0 * out)
 
 
 # ---------------------------------------------------------------------------
 # CountTable
 # ---------------------------------------------------------------------------
+
+
+def _check_table_args(n: int, s: int) -> None:
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    if s < 1:
+        raise InvalidSpec("color count s must be >= 1")
 
 
 @dataclass
@@ -358,32 +444,26 @@ class CountTable:
     @classmethod
     def build(cls, n: int, s: int, mode: str = "auto") -> "CountTable":
         """``mode`` is ``"auto"`` (exact up to EXACT_LIMIT), ``"exact"``, or ``"log"``."""
-        if n < 0:
-            raise DomainError("n must be >= 0")
-        if s < 1:
-            raise InvalidSpec("color count s must be >= 1")
+        _check_table_args(n, s)
         if mode not in ("auto", "exact", "log"):
             raise InvalidSpec(f"unknown CountTable mode {mode!r}")
         if mode == "exact" and n > EXACT_LIMIT:
             raise SizeExceeded(f"exact tables stop at n = {EXACT_LIMIT}")
-        exact = mode == "exact" or (mode == "auto" and n <= EXACT_LIMIT)
-        if exact:
-            counts = halfwalk_table(n, s)[n]
+        if mode == "exact" or (mode == "auto" and n <= EXACT_LIMIT):
+            counts = halfwalk_row(n, s)
             total = sum(s**m * c * c for m, c in enumerate(counts))
-            logs = np.array(
-                [math.log(c) if c else -math.inf for c in counts], dtype=float
-            )
-            return cls(
-                n=n,
-                s=s,
-                log_halfwalk=logs,
-                log_total=math.log(total),
-                halfwalk=counts,
-                total=total,
-            )
-        logs = _log_halfwalk(n, s, 0, n + 1)
-        log_total = _logsumexp(np.arange(n + 1) * math.log(s) + 2.0 * logs)
-        return cls(n=n, s=s, log_halfwalk=logs, log_total=log_total)
+            logs = np.array([math.log(c) if c else -math.inf for c in counts], dtype=float)
+            return cls(n, s, logs, math.log(total), halfwalk=counts, total=total)
+        _check_log_work(n + 1 + n * n // 4)
+        return cls(n, s, *_log_halfwalk(n, s, weighted=False))
+
+    @classmethod
+    def weighted(cls, n: int, s: int) -> "CountTable":
+        """The log-space table where rows whose Schmidt weight rounds to an
+        exact 0 may read -inf; the rest, and ``log_total``, have the bits of
+        :meth:`build`'s."""
+        _check_table_args(n, s)
+        return cls(n, s, *_log_halfwalk(n, s, weighted=True))
 
     def log_schmidt_weight(self) -> np.ndarray:
         """Log of ``s**m * p_m`` for each ``m``; the weights sum to one."""

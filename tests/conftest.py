@@ -93,3 +93,26 @@ def heights_of_digits(digits, s):
             h -= 1
         out.append(h)
     return out
+
+
+def halfwalk_table(max_length, s):
+    """DP table ``T[L][h]`` of colored prefix counts, heights ``0..max_length``.
+
+    Read off the final step of the prefix, the transfer recurrence is
+
+        T[L][h] = T[L-1][h] + T[L-1][h-1] + s * T[L-1][h+1]
+
+    (flat, fresh unmatched up, and a down completing a colored pair); the
+    colors of the open up steps are not counted.
+    """
+    table = [[0] * (max_length + 2) for _ in range(max_length + 1)]
+    table[0][0] = 1
+    for L in range(1, max_length + 1):
+        prev = table[L - 1]
+        row = table[L]
+        for h in range(L + 1):
+            val = prev[h] + s * prev[h + 1]
+            if h:
+                val += prev[h - 1]
+            row[h] = val
+    return [row[: L + 1] for L, row in enumerate(table)]

@@ -123,6 +123,29 @@ def test_entropy_bytes_are_stable(s, size, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_entropy_log_mode_prints_the_auto_route_bytes(s, capsys):
+    # --mode log builds every row of the full table; auto, past the exact
+    # limit, only the rows and terms that carry weight
+    sizes = "301,1999,5000"
+    assert main(["entropy", "--s", str(s), "--n-list", sizes, "--mode", "log"]) == EXIT_OK
+    full = capsys.readouterr().out
+    assert main(["entropy", "--s", str(s), "--n-list", sizes]) == EXIT_OK
+    assert capsys.readouterr().out == full
+
+
+def test_entropy_log_mode_refuses_a_million_before_any_row(capsys, monkeypatch):
+    from motzkinchain import walks
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(walks, "_log_halfwalk", no_rows)
+    argv = ["entropy", "--s", "2", "--n-list", "1000000", "--mode", "log"]
+    assert main(argv) == EXIT_VALIDATION
+    assert "LOG_WORK_LIMIT" in capsys.readouterr().err
+
+
 def test_write_text_atomic_overwrites_in_place(tmp_path):
     path = tmp_path / "table.csv"
     write_text_atomic(path, "a,b\n1,2\n")

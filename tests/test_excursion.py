@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 from scipy.special import ai_zeros
 
-from conftest import digits_form_walk, heights_of_digits, iter_matched_digit_strings
+from conftest import (
+    digits_form_walk,
+    halfwalk_table,
+    heights_of_digits,
+    iter_matched_digit_strings,
+)
 from motzkinchain import excursion
 from motzkinchain.errors import (
     DomainError,
@@ -45,7 +50,7 @@ from motzkinchain.hamiltonian import (
     motzkin_indices,
 )
 from motzkinchain.schmidt import sigma
-from motzkinchain.walks import halfwalk_table, motzkin_number
+from motzkinchain.walks import motzkin_number
 
 
 # ---------------------------------------------------------------------------

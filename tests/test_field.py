@@ -143,6 +143,15 @@ def test_log_space_energies_match_recorded_values():
     assert digest == "6f775b58a176ccf7c4c2a419577b440e5753fca7aeb9da3874fd246d87d1c43f"
 
 
+@pytest.mark.parametrize(("n", "s"), [(1000, 1), (1000, 2), (151, 2), (151, 3)])
+def test_batched_expectations_equal_the_per_height_route_bit_for_bit(n, s):
+    # chain lengths 2000 and 302: every height read from one term generator
+    # against one generator per height
+    report = field_energies(n, s, 1e-3, m_max=2 * n)
+    per_height = [field_expectation_exact(2 * n, m, s) for m in range(2 * n + 1)]
+    assert [report.exact_expectations[m] for m in range(2 * n + 1)] == per_height
+
+
 def test_first_two_sectors_split_like_inverse_square():
     eps0 = 1e-3
     deltas = {}
@@ -171,6 +180,12 @@ def test_field_energies_validation():
         field_energies(4, 1, 1.5)
     with pytest.raises(DomainError):
         field_energies(4, 1, 0.01, m_max=9)
+
+
+def test_field_energies_reject_bad_colors_on_the_log_route():
+    # 2n = 400 takes the one-generator route, which must still check s
+    with pytest.raises(InvalidSpec):
+        field_energies(200, 0, 0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ from scipy.special import gammaln
 from conftest import (
     all_digit_strings,
     digits_form_walk,
+    halfwalk_table,
     heights_of_digits,
     is_dyck,
     iter_matched_digit_strings,
 )
+from motzkinchain import walks
 from motzkinchain.errors import DomainError, InvalidSpec, SizeExceeded
 from motzkinchain.walks import (
     CountTable,
@@ -34,7 +36,7 @@ from motzkinchain.walks import (
     encode_walk,
     enumerate_walks,
     full_walk_count,
-    halfwalk_table,
+    halfwalk_row,
     log_halfwalk_terms,
     motzkin_number,
 )
@@ -230,6 +232,13 @@ def test_halfwalk_table_agrees_with_closed_form():
         for length in range(21):
             for m in range(length + 1):
                 assert table[length][m] == colored_halfwalk_count(length, m, s)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 10**6])
+def test_exact_row_matches_the_dp_oracle(s):
+    table = halfwalk_table(300, s)
+    for n in [*range(13), 100, 299, 300]:
+        assert halfwalk_row(n, s) == table[n], n
 
 
 def test_motzkin_number_examples():
@@ -508,6 +517,59 @@ def test_log_terms_chunks_are_views_of_one_buffer():
     second = next(chunks)
     assert np.shares_memory(first, second)
     assert not np.array_equal(first, kept)
+
+
+WEIGHTED_CASES = [(n, s) for n in (301, 302, 1999, 5000) for s in (1, 2, 3, 4)] + [(3001, 10**6)]
+
+
+@pytest.mark.parametrize(("n", "s"), WEIGHTED_CASES)
+def test_weighted_rows_equal_the_full_table_where_they_carry_weight(n, s):
+    full = CountTable.build(n, s, mode="log")
+    weighted = CountTable.weighted(n, s)
+    kept = np.isfinite(weighted.log_halfwalk)
+    assert np.array_equal(weighted.log_halfwalk[kept], full.log_halfwalk[kept])
+    assert weighted.log_total == full.log_total
+    # a row left out is one whose Schmidt weight was an exact 0 already
+    weight = np.arange(n + 1) * math.log(s) + 2.0 * full.log_halfwalk
+    assert np.all(np.exp(weight[~kept] - weight.max()) == 0.0)
+    if n >= 1999:
+        assert not kept.all()
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("n", [1999, 5000])
+def test_every_term_outside_a_window_rounds_to_zero(n, s):
+    m_lo, first, final = walks._row_windows(walks._LogTerms(n, s), weighted=False)
+    assert m_lo == 0 and first.size == n + 1
+    m = 0
+    for chunk in log_halfwalk_terms(n, s, 0, n + 1):
+        for row in chunk:
+            terms = row[: (n - m) // 2 + 1]
+            outside = np.ones(terms.size, dtype=bool)
+            outside[first[m] : final[m] + 1] = False
+            assert np.all(terms[outside] < terms.max() - 746.0), m
+            m += 1
+
+
+def test_log_work_guard_refuses_before_any_row(monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(walks, "_log_halfwalk", no_rows)
+    with pytest.raises(SizeExceeded):
+        CountTable.build(10**6, 2, mode="log")
+
+
+def test_log_work_guard_bounds_the_rows_each_route_sums(monkeypatch):
+    # at n = 5000, s = 2 the full table sums 6,255,001 row entries and the
+    # weighted rows about half as many
+    monkeypatch.setattr(walks, "LOG_WORK_LIMIT", 5 * 10**6)
+    with pytest.raises(SizeExceeded):
+        CountTable.build(5000, 2, mode="log")
+    assert np.isfinite(CountTable.weighted(5000, 2).log_total)
+    monkeypatch.setattr(walks, "LOG_WORK_LIMIT", 10**6)
+    with pytest.raises(SizeExceeded):
+        CountTable.weighted(5000, 2)
 
 
 def test_count_table_log_mode_reaches_large_sizes():
