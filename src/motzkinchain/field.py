@@ -110,8 +110,11 @@ def field_energies(n: int, s: int, epsilon0: float, m_max: int | None = None) ->
 
     The sector with ``m`` total unmatched letters shifts by
     ``(epsilon0 / 2n)`` times the mean non-flat count at height ``m``.
-    Every shift lies in ``(0, epsilon0]`` and grows with ``m``; both
-    facts are re-checked here before the report is returned.
+    Every shift lies in ``(0, epsilon0]`` and grows with ``m`` within each
+    parity of ``m``; both facts are re-checked here before the report is
+    returned.  Across parities it need not grow: with many colors nearly
+    every step pairs up and the count follows the parity of ``2n - m``
+    (at ``2n = 10``, ``s = 10`` the ``m = 1`` shift lies below ``m = 0``'s).
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -133,16 +136,14 @@ def field_energies(n: int, s: int, epsilon0: float, m_max: int | None = None) ->
         means = (_log_mean(m, row[: (two_n - m) // 2 + 1]) for m, row in enumerate(rows))
     expectations: dict[int, float] = {}
     energies: dict[int, float] = {}
-    previous = 0.0
     for m, mean in enumerate(means):
         shift = epsilon0 / two_n * mean
         if not 0.0 < shift <= epsilon0 * (1.0 + 1e-12):
             raise InvalidSpec(f"sector shift {shift:g} escaped (0, epsilon0]")
-        if shift < previous - 1e-15:
+        if shift < energies.get(m - 2, 0.0) - 1e-15:
             raise InvalidSpec(f"sector shifts decreased at m = {m}")
         expectations[m] = mean
         energies[m] = shift
-        previous = shift
     return FieldReport(
         n=n,
         s=s,

@@ -85,11 +85,12 @@ def entropy_exact(n: int, s: int, table: CountTable | None = None) -> float:
     """Entanglement entropy ``-sum_m s**m p_m ln p_m`` across the middle cut.
 
     Without a table, works from exact counts up to ``n = EXACT_LIMIT`` and
-    beyond that from the log-space rows that carry Schmidt weight
-    (:meth:`CountTable.weighted`), which give the full log table's bits.
+    beyond that from the log-space rows near the top Schmidt weight
+    (:meth:`CountTable.top_rows`), a superset of the rows kept here, with
+    the full log table's bits.
     """
     if table is None:
-        table = CountTable.build(n, s) if n <= EXACT_LIMIT else CountTable.weighted(n, s)
+        table = CountTable.build(n, s) if n <= EXACT_LIMIT else CountTable.top_rows(n, s)
     elif (table.n, table.s) != (n, s):
         raise InvalidSpec("table does not match the requested (n, s)")
     logw = table.log_schmidt_weight()

@@ -17,7 +17,9 @@ The module offers two arithmetic routes for the counting functions:
 * natural-log floating point built on ``gammaln``, usable far beyond that:
   only the window of each row's terms that can reach a nonzero float after
   ``exp`` is built, and only the rows that carry Schmidt weight when that
-  is all that is asked, keeping every bit of the per-height formula.
+  is all that is asked, keeping every bit of the per-height formula; the
+  entropy reads narrower windows of the rows near the top weight, whose
+  bits are certified by a second sum over upper bounds.
 
 ``CountTable`` bundles both and is the input to the Schmidt-spectrum and
 external-field modules.
@@ -43,6 +45,10 @@ _TERM_CHUNK = 2**15
 LOG_WORK_LIMIT = 3 * 10**10
 # exp is an exact 0 below -745.2: terms this far below their peak, with 4 to spare
 _WINDOW_DEPTH = 750.0
+# the certified route: rows within _TOP_CUT of the top Schmidt weight (entropy_exact
+# keeps those within 80), each from a window _TOP_DEPTH below its peak
+_TOP_CUT = 90.0
+_TOP_DEPTH = 100.0
 
 
 def encode_walk(walk: Sequence[int], s: int) -> str:
@@ -342,25 +348,25 @@ def log_halfwalk_terms(n: int, s: int, m_start: int, m_stop: int) -> Iterator[np
         m0 += shape[0]
 
 
-def _row_windows(terms: _LogTerms, weighted: bool) -> tuple[int, np.ndarray, np.ndarray]:
-    """The first row to build, and the first and last pair count of each
-    built row's window, the terms within ``_WINDOW_DEPTH`` of its peak.
-    With ``weighted``, end rows are left out whose length times peak term,
-    weighted ``s**m`` and squared, lies ``_WINDOW_DEPTH`` below the largest
-    weighted peak: their share of the total rounds to an exact 0."""
+def _row_windows(
+    terms: _LogTerms, depth: float, cut: float
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The first row to build, the first and last pair count of each built
+    row's window (the terms within ``depth`` of its peak), and every row's
+    upper-bound weight ``m log s + 2 (peak term + log length)``.  The rows
+    built run from the first to the last whose upper bound lies within
+    ``cut`` of the largest lower bound ``m log s + 2 peak term``."""
     m = np.arange(terms.n + 1)
     last = (terms.n - m) // 2
     peak = terms.peaks(m, last)
     top = terms.points(m, peak)
-    rows = slice(0, terms.n + 1)
-    if weighted:
-        weight = m * math.log(terms.s) + 2.0 * top
-        kept = np.flatnonzero(weight + 2.0 * np.log(last + 1.0) >= weight.max() - _WINDOW_DEPTH)
-        rows = slice(int(kept[0]), int(kept[-1]) + 1)
-        _check_log_work(int(np.sum(last[rows] + 1)))
+    weight = m * math.log(terms.s) + 2.0 * top
+    upper = weight + 2.0 * np.log(last + 1.0)
+    kept = np.flatnonzero(upper >= weight.max() - cut)
+    rows = slice(int(kept[0]), int(kept[-1]) + 1)
     # how far each window reaches from the peak, down (first half) and up
     count = rows.stop - rows.start
-    m, floor = np.tile(m[rows], 2), np.tile(top[rows] - _WINDOW_DEPTH, 2)
+    m, floor = np.tile(m[rows], 2), np.tile(top[rows] - depth, 2)
     base, side = np.tile(peak[rows], 2), np.repeat([-1, 1], count)
     hi = np.concatenate([peak[rows], last[rows] - peak[rows]])
     # a side whose far end reaches the floor reaches it throughout
@@ -372,24 +378,38 @@ def _row_windows(terms: _LogTerms, weighted: bool) -> tuple[int, np.ndarray, np.
         reach = terms.points(m[active], base[active] + side[active] * mid) >= floor[active]
         lo[active], hi[active] = np.where(reach, mid, a), np.where(reach, b, mid - 1)
         active = active[lo[active] < hi[active]]
-    return rows.start, base[:count] - lo[:count], base[count:] + lo[count:]
+    return rows.start, base[:count] - lo[:count], base[count:] + lo[count:], upper
 
 
-def _log_halfwalk(n: int, s: int, weighted: bool) -> tuple[np.ndarray, float]:
+def _log_halfwalk(n: int, s: int, depth: float, cut: float) -> tuple[np.ndarray, float] | None:
     """``log M(n, m, s)`` for ``m = 0..n`` (-inf for rows not built) and the
     log full-walk count, from the windows of :func:`_row_windows`, built for
-    runs of rows over the union of their windows.  Each row is summed as a
-    full-length 1-D row, zero outside the window: ``np.sum``'s pairwise
-    grouping depends only on length and positions, so the bits are those
-    of the whole row."""
+    runs of rows over the union of their windows; None when a certificate
+    below fails.
+
+    Each row is summed as a full-length 1-D row, zero outside the built
+    columns.  ``np.add.reduce``'s pairwise tree depends only on the length
+    and fl(+) is monotone in each operand, so when the sum with
+    ``2 exp(-depth)``, a bound on every term outside a window, in those
+    columns has the same bits, so has the whole row.  The log total is
+    summed again with each row not built at its upper-bound weight, and
+    must not move either.  At ``depth`` and ``cut`` past exp's underflow
+    both bounds are exact zeros and both certificates hold."""
     terms = _LogTerms(n, s)
-    r, first, final = _row_windows(terms, weighted)
+    r, first, final, upper = _row_windows(terms, depth, cut)
+    # each term outside a window, after exp, with room for rounding; 0 past exp's underflow
+    bound = 2.0 * math.exp(-depth)
     m_lo = r
+    lengths = (n - np.arange(r, r + first.size)) // 2 + 1
+    _check_log_work((2 if bound else 1) * int(lengths.sum()))
     padded = np.zeros(max(4 * _TERM_CHUNK, n // 2 + 1))
+    # the upper rows: the bound outside the built columns
+    bounded = np.full(padded.size if bound else 0, bound)
     out = np.full(n + 1, -math.inf)
     while r < m_lo + first.size:
         # the rows from r whose union window fits a chunk and whose rows fit `padded`
-        k, length = r - m_lo, (n - r) // 2 + 1
+        k = r - m_lo
+        length = int(lengths[k])
         cap = min(first.size - k, padded.size // length)
         cap = min(cap, max(1, _TERM_CHUNK // int(final[k] - first[k] + 1)))
         c0 = np.minimum.accumulate(first[k : k + cap])
@@ -400,16 +420,29 @@ def _log_halfwalk(n: int, s: int, weighted: bool) -> tuple[np.ndarray, float]:
         block = terms.block(r, c0, grid[:, c0:c1], np.empty((g, c1 - c0)))
         peaks = block.max(axis=1)
         block -= peaks[:, None]
-        # exp rounds these to an exact 0 too, but through a slow path
-        zero = block < -746.0
-        np.copyto(block, 0.0, where=zero)
-        np.exp(block, out=block)
-        np.copyto(block, 0.0, where=zero)
-        for row, peak in zip(grid, peaks.tolist()):
-            out[r] = peak + math.log(float(np.add.reduce(row[: (n - r) // 2 + 1])))
+        # exp is an exact 0 below -745.2, at -1e4 as at -inf
+        np.exp(np.maximum(block, -1e4, out=block), out=block)
+        sizes = lengths[k : k + g].tolist()
+        sums = [float(np.add.reduce(row[:size])) for row, size in zip(grid, sizes)]
+        if bound:
+            high = bounded[: g * length].reshape(g, length)
+            high[:, c0:c1] = block
+            if [float(np.add.reduce(row[:size])) for row, size in zip(high, sizes)] != sums:
+                return None
+            high[:, c0:c1] = bound
+        for peak, total in zip(peaks.tolist(), sums):
+            out[r] = peak + math.log(total)
             r += 1
         block[...] = 0.0
-    return out, _logsumexp(np.arange(n + 1) * math.log(s) + 2.0 * out)
+    # _logsumexp's float steps, then again with each row not built at its upper
+    # bound plus 1e-6, far above the rounding of weights up to about 10**6
+    weight = np.arange(n + 1) * math.log(s) + 2.0 * out
+    peak = float(weight.max())
+    total = float(np.sum(np.exp(weight - peak)))
+    np.copyto(weight, upper + 1e-6, where=np.isneginf(out))
+    if float(np.sum(np.exp(weight - peak))) != total:
+        return None
+    return out, peak + math.log(total)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +488,7 @@ class CountTable:
             logs = np.array([math.log(c) if c else -math.inf for c in counts], dtype=float)
             return cls(n, s, logs, math.log(total), halfwalk=counts, total=total)
         _check_log_work(n + 1 + n * n // 4)
-        return cls(n, s, *_log_halfwalk(n, s, weighted=False))
+        return cls(n, s, *_log_halfwalk(n, s, _WINDOW_DEPTH, math.inf))
 
     @classmethod
     def weighted(cls, n: int, s: int) -> "CountTable":
@@ -463,7 +496,17 @@ class CountTable:
         exact 0 may read -inf; the rest, and ``log_total``, have the bits of
         :meth:`build`'s."""
         _check_table_args(n, s)
-        return cls(n, s, *_log_halfwalk(n, s, weighted=True))
+        return cls(n, s, *_log_halfwalk(n, s, _WINDOW_DEPTH, _WINDOW_DEPTH))
+
+    @classmethod
+    def top_rows(cls, n: int, s: int) -> "CountTable":
+        """The log-space table of the rows within ``_TOP_CUT`` of the top
+        Schmidt weight, each from a window ``_TOP_DEPTH`` deep; those rows and
+        ``log_total`` are certified to have the bits of :meth:`build`'s, and
+        :meth:`weighted` is returned in their place when a certificate fails."""
+        _check_table_args(n, s)
+        rows = _log_halfwalk(n, s, _TOP_DEPTH, _TOP_CUT)
+        return cls.weighted(n, s) if rows is None else cls(n, s, *rows)
 
     def log_schmidt_weight(self) -> np.ndarray:
         """Log of ``s**m * p_m`` for each ``m``; the weights sum to one."""

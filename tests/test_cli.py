@@ -496,6 +496,14 @@ def test_field_m_max_flag(capsys):
     assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
 
 
+def test_field_accepts_a_shift_that_falls_across_parities(capsys):
+    # at s = 10 the m = 1 sector shifts less than m = 0; each parity still grows
+    assert main(["field", "--n", "5", "--s", "10", "--eps0", "0.001"]) == EXIT_OK
+    shifts = [float(r[3]) for r in _rows(capsys.readouterr().out)[1:]]
+    assert shifts[1] < shifts[0]
+    assert all(a <= b for a, b in zip(shifts, shifts[2:]))
+
+
 def test_field_bytes_are_stable(capsys):
     # recorded from the log-space kernel that evaluated every term with fresh
     # temporaries; every height past n = 300 reads one row of log-space terms

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import iter_matched_digit_strings
+from motzkinchain import field
 from motzkinchain.errors import DomainError, InvalidSpec, SizeExceeded
 from motzkinchain.field import (
     field_energies,
@@ -180,6 +181,26 @@ def test_field_energies_validation():
         field_energies(4, 1, 1.5)
     with pytest.raises(DomainError):
         field_energies(4, 1, 0.01, m_max=9)
+
+
+def test_field_energies_accept_many_colors():
+    # nearly every step pairs up at s = 10**6, so the mean non-flat count
+    # follows the parity of 2n - m: m = 1 lies below m = 0, m = 2 above it
+    report = field_energies(151, 10**6, 1e-3, m_max=302)
+    shifts = [report.energies[m] for m in range(303)]
+    assert shifts[1] < shifts[0]
+    assert all(a <= b + 1e-15 for a, b in zip(shifts, shifts[2:]))
+
+
+def test_field_energies_reject_a_fall_within_one_parity(monkeypatch):
+    exact = field.field_expectation_exact
+
+    def falling(n, m, s):
+        return exact(n, 0, s) - 0.5 if m == 2 else exact(n, m, s)
+
+    monkeypatch.setattr(field, "field_expectation_exact", falling)
+    with pytest.raises(InvalidSpec, match="decreased at m = 2"):
+        field_energies(6, 1, 0.01)
 
 
 def test_field_energies_reject_bad_colors_on_the_log_route():

@@ -26,6 +26,7 @@ from conftest import (
 )
 from motzkinchain import walks
 from motzkinchain.errors import DomainError, InvalidSpec, SizeExceeded
+from motzkinchain.schmidt import TRUNCATION_LOG_CUTOFF, entropy_exact
 from motzkinchain.walks import (
     CountTable,
     ballot_count,
@@ -539,7 +540,9 @@ def test_weighted_rows_equal_the_full_table_where_they_carry_weight(n, s):
 @pytest.mark.parametrize("s", [1, 2, 3])
 @pytest.mark.parametrize("n", [1999, 5000])
 def test_every_term_outside_a_window_rounds_to_zero(n, s):
-    m_lo, first, final = walks._row_windows(walks._LogTerms(n, s), weighted=False)
+    m_lo, first, final, _ = walks._row_windows(
+        walks._LogTerms(n, s), walks._WINDOW_DEPTH, math.inf
+    )
     assert m_lo == 0 and first.size == n + 1
     m = 0
     for chunk in log_halfwalk_terms(n, s, 0, n + 1):
@@ -549,6 +552,99 @@ def test_every_term_outside_a_window_rounds_to_zero(n, s):
             outside[first[m] : final[m] + 1] = False
             assert np.all(terms[outside] < terms.max() - 746.0), m
             m += 1
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("n", [1999, 5000])
+def test_every_term_outside_a_top_window_is_below_the_bound(n, s):
+    # the premise of the row certificate: each term outside a window sits at
+    # most 2 exp(-depth) below its row's peak once exp has run
+    depth = walks._TOP_DEPTH
+    m_lo, first, final, _ = walks._row_windows(walks._LogTerms(n, s), depth, walks._TOP_CUT)
+    m = m_lo
+    for chunk in log_halfwalk_terms(n, s, m_lo, m_lo + first.size):
+        for row in chunk:
+            terms = row[: (n - m) // 2 + 1]
+            outside = np.ones(terms.size, dtype=bool)
+            outside[first[m - m_lo] : final[m - m_lo] + 1] = False
+            assert np.all(np.exp(terms[outside] - terms.max()) <= 2.0 * math.exp(-depth)), m
+            m += 1
+
+
+TOP_CASES = [(n, s) for n in (301, 777, 1000, 1999, 3000, 5000, 5001) for s in (1, 2, 3)]
+TOP_CASES += [(1000, 4), (5000, 7), (301, 10**6), (3001, 10**6), (12345, 2), (20000, 3)]
+TOP_CASES += [(10**5, 2)]
+
+
+@pytest.mark.parametrize(("n", "s"), TOP_CASES)
+def test_top_rows_have_the_bits_of_the_full_table(n, s, monkeypatch):
+    full = CountTable.build(n, s, mode="log") if n <= 5001 else CountTable.weighted(n, s)
+
+    def no_fallback(cls, n, s):
+        raise AssertionError("a certificate failed")
+
+    monkeypatch.setattr(CountTable, "weighted", classmethod(no_fallback))
+    top = CountTable.top_rows(n, s)
+    built = np.isfinite(top.log_halfwalk)
+    assert np.array_equal(top.log_halfwalk[built], full.log_halfwalk[built])
+    assert top.log_total == full.log_total
+    # every row the entropy keeps was built, and the entropy has the same bits
+    logw = full.log_schmidt_weight()
+    assert built[logw >= logw.max() + TRUNCATION_LOG_CUTOFF].all()
+    assert entropy_exact(n, s) == entropy_exact(n, s, table=full)
+
+
+@pytest.mark.parametrize(
+    ("depth", "cut"),
+    [
+        (20.0, math.inf),  # every row built, so only the row certificate can fail
+        (walks._WINDOW_DEPTH, 2.0),  # windows past exp's underflow: only log_total's can
+    ],
+)
+def test_each_certificate_refuses_what_it_cannot_prove(depth, cut):
+    assert walks._log_halfwalk(5000, 2, walks._TOP_DEPTH, walks._TOP_CUT) is not None
+    assert walks._log_halfwalk(5000, 2, depth, cut) is None
+
+
+@pytest.mark.parametrize(("name", "value"), [("_TOP_DEPTH", 20.0), ("_TOP_CUT", 2.0)])
+def test_a_failed_certificate_falls_back_to_the_weighted_rows(name, value, monkeypatch):
+    sizes = [301, 1999, 5000]
+    expected = [entropy_exact(n, 2) for n in sizes]
+    fallback = []
+    weighted = CountTable.weighted.__func__
+
+    def spy(cls, n, s):
+        fallback.append((n, s))
+        return weighted(cls, n, s)
+
+    monkeypatch.setattr(CountTable, "weighted", classmethod(spy))
+    monkeypatch.setattr(walks, name, value)
+    assert [entropy_exact(n, 2) for n in sizes] == expected
+    assert fallback == [(n, 2) for n in sizes]
+
+
+def test_top_rows_count_both_sums_against_the_work_limit(monkeypatch):
+    seen = []
+    monkeypatch.setattr(walks, "_check_log_work", seen.append)
+    summed = []
+    for table in (CountTable.top_rows(5000, 2), CountTable.weighted(5000, 2)):
+        built = np.flatnonzero(np.isfinite(table.log_halfwalk))
+        summed.append(int(np.sum((5000 - built) // 2 + 1)))
+    # the row certificate sums every built row a second time
+    assert seen == [2 * summed[0], summed[1]]
+
+
+def test_top_rows_admit_a_million_before_any_row(monkeypatch):
+    seen = []
+
+    def stop(entries):
+        seen.append(entries)
+        raise SizeExceeded("stop before the rows")
+
+    monkeypatch.setattr(walks, "_check_log_work", stop)
+    with pytest.raises(SizeExceeded):
+        CountTable.top_rows(10**6, 2)
+    assert len(seen) == 1 and seen[0] <= walks.LOG_WORK_LIMIT
 
 
 def test_log_work_guard_refuses_before_any_row(monkeypatch):
