@@ -86,8 +86,9 @@ def entropy_exact(n: int, s: int, table: CountTable | None = None) -> float:
 
     Without a table, works from exact counts up to ``n = EXACT_LIMIT`` and
     beyond that from the log-space rows near the top Schmidt weight
-    (:meth:`CountTable.top_rows`), a superset of the rows kept here, with
-    the full log table's bits.
+    (:meth:`CountTable.top_rows`), a superset of the rows kept here, whose
+    omitted terms and rows are under ``(n+1) exp(-90)`` of the total, far
+    below one ulp.
     """
     if table is None:
         table = CountTable.build(n, s) if n <= EXACT_LIMIT else CountTable.top_rows(n, s)

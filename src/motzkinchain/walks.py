@@ -16,10 +16,9 @@ The module offers two arithmetic routes for the counting functions:
   ``EXACT_LIMIT``, a row at a time from an O(n) recurrence;
 * natural-log floating point built on ``gammaln``, usable far beyond that:
   only the window of each row's terms that can reach a nonzero float after
-  ``exp`` is built, and only the rows that carry Schmidt weight when that
-  is all that is asked, keeping every bit of the per-height formula; the
-  entropy reads narrower windows of the rows near the top weight, whose
-  bits are certified by a second sum over upper bounds.
+  ``exp`` is built, keeping every bit of the per-height formula; the
+  entropy reads only the rows near the top weight, from narrower windows,
+  whose omitted terms and rows lie far below one ulp of each sum.
 
 ``CountTable`` bundles both and is the input to the Schmidt-spectrum and
 external-field modules.
@@ -41,11 +40,11 @@ EXACT_LIMIT = 300
 ENUMERATION_GUARD = 10**8
 # entries per chunk of log-space summands (256 KiB), so a table's memory is O(n)
 _TERM_CHUNK = 2**15
-# row entries a log-space table may sum (n**2/4 in full; 1.2e10 weighted at n = 10**6)
+# row entries a log-space table may sum (n**2/4 in full; 4.7e9 in the top rows at n = 10**6, s = 2)
 LOG_WORK_LIMIT = 3 * 10**10
 # exp is an exact 0 below -745.2: terms this far below their peak, with 4 to spare
 _WINDOW_DEPTH = 750.0
-# the certified route: rows within _TOP_CUT of the top Schmidt weight (entropy_exact
+# the entropy's route: rows within _TOP_CUT of the top Schmidt weight (entropy_exact
 # keeps those within 80), each from a window _TOP_DEPTH below its peak
 _TOP_CUT = 90.0
 _TOP_DEPTH = 100.0
@@ -125,18 +124,9 @@ def _walks(length: int, colors: int, kind: str) -> Iterator[tuple[int, ...]]:
 # Exact integer counting
 # ---------------------------------------------------------------------------
 
-_PASCAL: list[list[int]] = [[1]]
-
-
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient from a row-cached Pascal triangle."""
-    if k < 0 or k > n:
-        return 0
-    while len(_PASCAL) <= n:
-        prev = _PASCAL[-1]
-        row = [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
-        _PASCAL.append(row)
-    return _PASCAL[n][k]
+    """Binomial coefficient, 0 outside ``0 <= k <= n``."""
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def catalan_number(w: int) -> int:
@@ -212,6 +202,8 @@ def halfwalk_row(n: int, s: int) -> list[int]:
     """
     if s < 1:
         raise InvalidSpec("color count s must be >= 1")
+    if n < 0:
+        raise DomainError("n must be >= 0")
     c = [0] * (n + 3)
     c[n] = 1
     for j in range(n, 0, -1):
@@ -348,14 +340,12 @@ def log_halfwalk_terms(n: int, s: int, m_start: int, m_stop: int) -> Iterator[np
         m0 += shape[0]
 
 
-def _row_windows(
-    terms: _LogTerms, depth: float, cut: float
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The first row to build, the first and last pair count of each built
-    row's window (the terms within ``depth`` of its peak), and every row's
-    upper-bound weight ``m log s + 2 (peak term + log length)``.  The rows
-    built run from the first to the last whose upper bound lies within
-    ``cut`` of the largest lower bound ``m log s + 2 peak term``."""
+def _row_windows(terms: _LogTerms, depth: float, cut: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """The first row to build and the first and last pair count of each built
+    row's window (the terms within ``depth`` of its peak).  The rows built run
+    from the first to the last whose upper-bound weight ``m log s + 2 (peak
+    term + log length)`` lies within ``cut`` of the largest lower bound
+    ``m log s + 2 peak term``."""
     m = np.arange(terms.n + 1)
     last = (terms.n - m) // 2
     peak = terms.peaks(m, last)
@@ -378,33 +368,29 @@ def _row_windows(
         reach = terms.points(m[active], base[active] + side[active] * mid) >= floor[active]
         lo[active], hi[active] = np.where(reach, mid, a), np.where(reach, b, mid - 1)
         active = active[lo[active] < hi[active]]
-    return rows.start, base[:count] - lo[:count], base[count:] + lo[count:], upper
+    return rows.start, base[:count] - lo[:count], base[count:] + lo[count:]
 
 
-def _log_halfwalk(n: int, s: int, depth: float, cut: float) -> tuple[np.ndarray, float] | None:
+def _log_halfwalk(n: int, s: int, depth: float, cut: float) -> tuple[np.ndarray, float]:
     """``log M(n, m, s)`` for ``m = 0..n`` (-inf for rows not built) and the
     log full-walk count, from the windows of :func:`_row_windows`, built for
-    runs of rows over the union of their windows; None when a certificate
-    below fails.
+    runs of rows over the union of their windows.
 
-    Each row is summed as a full-length 1-D row, zero outside the built
-    columns.  ``np.add.reduce``'s pairwise tree depends only on the length
-    and fl(+) is monotone in each operand, so when the sum with
-    ``2 exp(-depth)``, a bound on every term outside a window, in those
-    columns has the same bits, so has the whole row.  The log total is
-    summed again with each row not built at its upper-bound weight, and
-    must not move either.  At ``depth`` and ``cut`` past exp's underflow
-    both bounds are exact zeros and both certificates hold."""
+    Each row is summed once as a full-length 1-D row, zero outside the built
+    columns, so ``np.add.reduce`` takes the full row's pairwise tree.  At
+    ``depth`` and ``cut`` past exp's underflow every term and row left out is
+    an exact 0 and the result has every bit of the full sums.  Otherwise a
+    term outside a window lies below ``exp(-depth)`` of its row's peak and a
+    row left out below ``exp(-cut)`` of the top weight; at the entropy's 100
+    and 90 what is omitted is under ``(n+1) exp(-90)`` relative, far below
+    one ulp, so a bit can move only where a partial sum lies that close to a
+    rounding boundary."""
     terms = _LogTerms(n, s)
-    r, first, final, upper = _row_windows(terms, depth, cut)
-    # each term outside a window, after exp, with room for rounding; 0 past exp's underflow
-    bound = 2.0 * math.exp(-depth)
+    r, first, final = _row_windows(terms, depth, cut)
     m_lo = r
     lengths = (n - np.arange(r, r + first.size)) // 2 + 1
-    _check_log_work((2 if bound else 1) * int(lengths.sum()))
+    _check_log_work(int(lengths.sum()))
     padded = np.zeros(max(4 * _TERM_CHUNK, n // 2 + 1))
-    # the upper rows: the bound outside the built columns
-    bounded = np.full(padded.size if bound else 0, bound)
     out = np.full(n + 1, -math.inf)
     while r < m_lo + first.size:
         # the rows from r whose union window fits a chunk and whose rows fit `padded`
@@ -422,27 +408,11 @@ def _log_halfwalk(n: int, s: int, depth: float, cut: float) -> tuple[np.ndarray,
         block -= peaks[:, None]
         # exp is an exact 0 below -745.2, at -1e4 as at -inf
         np.exp(np.maximum(block, -1e4, out=block), out=block)
-        sizes = lengths[k : k + g].tolist()
-        sums = [float(np.add.reduce(row[:size])) for row, size in zip(grid, sizes)]
-        if bound:
-            high = bounded[: g * length].reshape(g, length)
-            high[:, c0:c1] = block
-            if [float(np.add.reduce(row[:size])) for row, size in zip(high, sizes)] != sums:
-                return None
-            high[:, c0:c1] = bound
-        for peak, total in zip(peaks.tolist(), sums):
-            out[r] = peak + math.log(total)
+        for row, size, peak in zip(grid, lengths[k : k + g].tolist(), peaks.tolist()):
+            out[r] = peak + math.log(float(np.add.reduce(row[:size])))
             r += 1
         block[...] = 0.0
-    # _logsumexp's float steps, then again with each row not built at its upper
-    # bound plus 1e-6, far above the rounding of weights up to about 10**6
-    weight = np.arange(n + 1) * math.log(s) + 2.0 * out
-    peak = float(weight.max())
-    total = float(np.sum(np.exp(weight - peak)))
-    np.copyto(weight, upper + 1e-6, where=np.isneginf(out))
-    if float(np.sum(np.exp(weight - peak))) != total:
-        return None
-    return out, peak + math.log(total)
+    return out, _logsumexp(np.arange(n + 1) * math.log(s) + 2.0 * out)
 
 
 # ---------------------------------------------------------------------------
@@ -491,22 +461,14 @@ class CountTable:
         return cls(n, s, *_log_halfwalk(n, s, _WINDOW_DEPTH, math.inf))
 
     @classmethod
-    def weighted(cls, n: int, s: int) -> "CountTable":
-        """The log-space table where rows whose Schmidt weight rounds to an
-        exact 0 may read -inf; the rest, and ``log_total``, have the bits of
-        :meth:`build`'s."""
-        _check_table_args(n, s)
-        return cls(n, s, *_log_halfwalk(n, s, _WINDOW_DEPTH, _WINDOW_DEPTH))
-
-    @classmethod
     def top_rows(cls, n: int, s: int) -> "CountTable":
         """The log-space table of the rows within ``_TOP_CUT`` of the top
-        Schmidt weight, each from a window ``_TOP_DEPTH`` deep; those rows and
-        ``log_total`` are certified to have the bits of :meth:`build`'s, and
-        :meth:`weighted` is returned in their place when a certificate fails."""
+        Schmidt weight, each from a window ``_TOP_DEPTH`` deep, -inf
+        elsewhere; what it leaves out of those rows and of ``log_total``, next
+        to :meth:`build`'s, is under ``(n+1) exp(-90)`` relative, far below
+        one ulp (see :func:`_log_halfwalk`)."""
         _check_table_args(n, s)
-        rows = _log_halfwalk(n, s, _TOP_DEPTH, _TOP_CUT)
-        return cls.weighted(n, s) if rows is None else cls(n, s, *rows)
+        return cls(n, s, *_log_halfwalk(n, s, _TOP_DEPTH, _TOP_CUT))
 
     def log_schmidt_weight(self) -> np.ndarray:
         """Log of ``s**m * p_m`` for each ``m``; the weights sum to one."""

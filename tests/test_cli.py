@@ -541,6 +541,23 @@ def test_reproduce_density_figure(tmp_path, capsys):
     assert target.read_text() == first
 
 
+@pytest.mark.parametrize(
+    ("tag", "size", "digest"),
+    [
+        ("entropy_s1", 1605, "7d3a34a3706cec4348ae5f33759e0ad2f8eb4cc018162f26677b5e4e6011bb23"),
+        ("entropy_grid", 6421, "56af905138fcdbe6ffcfbce9f68cad5ee5f77034881145526683752ef9943111"),
+        ("ratio", 608, "a3fee1a73b311c15684c0e87fb61a268ab0d56e62f13bddc29e8928dc939beb6"),
+    ],
+)
+def test_reproduce_entropy_bytes_are_stable(tag, size, digest, tmp_path, capsys):
+    # recorded from the top rows that a second sum over upper bounds certified
+    assert main(["reproduce", "--tag", tag, "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    data = (tmp_path / f"{tag}.csv").read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_reproduce_rejects_unknown_tag(capsys):
     with pytest.raises(SystemExit):
         main(["reproduce", "--tag", "nonsense"])

@@ -242,6 +242,12 @@ def test_exact_row_matches_the_dp_oracle(s):
         assert halfwalk_row(n, s) == table[n], n
 
 
+@pytest.mark.parametrize("n", [-1, -2, -7])
+def test_exact_row_refuses_negative_lengths(n):
+    with pytest.raises(DomainError):
+        halfwalk_row(n, 1)
+
+
 def test_motzkin_number_examples():
     assert motzkin_number(4, 1) == 9
     assert motzkin_number(2, 2) == 3
@@ -520,13 +526,19 @@ def test_log_terms_chunks_are_views_of_one_buffer():
     assert not np.array_equal(first, kept)
 
 
+def weighted_table(n, s):
+    """The rows whose Schmidt weight can reach a nonzero float, each from a
+    window past exp's underflow: the full table's bits on every row kept."""
+    return CountTable(n, s, *walks._log_halfwalk(n, s, walks._WINDOW_DEPTH, walks._WINDOW_DEPTH))
+
+
 WEIGHTED_CASES = [(n, s) for n in (301, 302, 1999, 5000) for s in (1, 2, 3, 4)] + [(3001, 10**6)]
 
 
 @pytest.mark.parametrize(("n", "s"), WEIGHTED_CASES)
 def test_weighted_rows_equal_the_full_table_where_they_carry_weight(n, s):
     full = CountTable.build(n, s, mode="log")
-    weighted = CountTable.weighted(n, s)
+    weighted = weighted_table(n, s)
     kept = np.isfinite(weighted.log_halfwalk)
     assert np.array_equal(weighted.log_halfwalk[kept], full.log_halfwalk[kept])
     assert weighted.log_total == full.log_total
@@ -540,9 +552,7 @@ def test_weighted_rows_equal_the_full_table_where_they_carry_weight(n, s):
 @pytest.mark.parametrize("s", [1, 2, 3])
 @pytest.mark.parametrize("n", [1999, 5000])
 def test_every_term_outside_a_window_rounds_to_zero(n, s):
-    m_lo, first, final, _ = walks._row_windows(
-        walks._LogTerms(n, s), walks._WINDOW_DEPTH, math.inf
-    )
+    m_lo, first, final = walks._row_windows(walks._LogTerms(n, s), walks._WINDOW_DEPTH, math.inf)
     assert m_lo == 0 and first.size == n + 1
     m = 0
     for chunk in log_halfwalk_terms(n, s, 0, n + 1):
@@ -557,10 +567,10 @@ def test_every_term_outside_a_window_rounds_to_zero(n, s):
 @pytest.mark.parametrize("s", [1, 2, 3])
 @pytest.mark.parametrize("n", [1999, 5000])
 def test_every_term_outside_a_top_window_is_below_the_bound(n, s):
-    # the premise of the row certificate: each term outside a window sits at
+    # the premise of the top rows' bound: each term outside a window sits at
     # most 2 exp(-depth) below its row's peak once exp has run
     depth = walks._TOP_DEPTH
-    m_lo, first, final, _ = walks._row_windows(walks._LogTerms(n, s), depth, walks._TOP_CUT)
+    m_lo, first, final = walks._row_windows(walks._LogTerms(n, s), depth, walks._TOP_CUT)
     m = m_lo
     for chunk in log_halfwalk_terms(n, s, m_lo, m_lo + first.size):
         for row in chunk:
@@ -573,17 +583,12 @@ def test_every_term_outside_a_top_window_is_below_the_bound(n, s):
 
 TOP_CASES = [(n, s) for n in (301, 777, 1000, 1999, 3000, 5000, 5001) for s in (1, 2, 3)]
 TOP_CASES += [(1000, 4), (5000, 7), (301, 10**6), (3001, 10**6), (12345, 2), (20000, 3)]
-TOP_CASES += [(10**5, 2)]
+TOP_CASES += [(10**5, 2), (12345, 1), (3000, 7), (5001, 10)]
 
 
 @pytest.mark.parametrize(("n", "s"), TOP_CASES)
-def test_top_rows_have_the_bits_of_the_full_table(n, s, monkeypatch):
-    full = CountTable.build(n, s, mode="log") if n <= 5001 else CountTable.weighted(n, s)
-
-    def no_fallback(cls, n, s):
-        raise AssertionError("a certificate failed")
-
-    monkeypatch.setattr(CountTable, "weighted", classmethod(no_fallback))
+def test_top_rows_have_the_bits_of_the_full_table(n, s):
+    full = CountTable.build(n, s, mode="log") if n <= 5001 else weighted_table(n, s)
     top = CountTable.top_rows(n, s)
     built = np.isfinite(top.log_halfwalk)
     assert np.array_equal(top.log_halfwalk[built], full.log_halfwalk[built])
@@ -594,44 +599,30 @@ def test_top_rows_have_the_bits_of_the_full_table(n, s, monkeypatch):
     assert entropy_exact(n, s) == entropy_exact(n, s, table=full)
 
 
-@pytest.mark.parametrize(
-    ("depth", "cut"),
-    [
-        (20.0, math.inf),  # every row built, so only the row certificate can fail
-        (walks._WINDOW_DEPTH, 2.0),  # windows past exp's underflow: only log_total's can
-    ],
-)
-def test_each_certificate_refuses_what_it_cannot_prove(depth, cut):
-    assert walks._log_halfwalk(5000, 2, walks._TOP_DEPTH, walks._TOP_CUT) is not None
-    assert walks._log_halfwalk(5000, 2, depth, cut) is None
-
-
-@pytest.mark.parametrize(("name", "value"), [("_TOP_DEPTH", 20.0), ("_TOP_CUT", 2.0)])
-def test_a_failed_certificate_falls_back_to_the_weighted_rows(name, value, monkeypatch):
-    sizes = [301, 1999, 5000]
-    expected = [entropy_exact(n, 2) for n in sizes]
-    fallback = []
-    weighted = CountTable.weighted.__func__
-
-    def spy(cls, n, s):
-        fallback.append((n, s))
-        return weighted(cls, n, s)
-
-    monkeypatch.setattr(CountTable, "weighted", classmethod(spy))
-    monkeypatch.setattr(walks, name, value)
-    assert [entropy_exact(n, 2) for n in sizes] == expected
-    assert fallback == [(n, 2) for n in sizes]
+@pytest.mark.parametrize(("n", "s"), TOP_CASES)
+def test_rows_left_out_of_the_top_rows_weigh_below_the_cut(n, s):
+    # the premise of the top rows' bound: the rows left out, each at its
+    # upper-bound weight m log s + 2 (peak term + log length), sum to a
+    # sliver of the top weight
+    terms = walks._LogTerms(n, s)
+    m = np.arange(n + 1)
+    last = (n - m) // 2
+    upper = m * math.log(s) + 2.0 * (terms.points(m, terms.peaks(m, last)) + np.log(last + 1.0))
+    weight = m * math.log(s) + 2.0 * CountTable.top_rows(n, s).log_halfwalk
+    built = np.isfinite(weight)
+    assert np.all(upper[built] >= weight[built])
+    assert np.sum(np.exp(upper[~built] - weight.max())) < 2.0**-60
 
 
 def test_top_rows_count_both_sums_against_the_work_limit(monkeypatch):
     seen = []
     monkeypatch.setattr(walks, "_check_log_work", seen.append)
     summed = []
-    for table in (CountTable.top_rows(5000, 2), CountTable.weighted(5000, 2)):
+    for table in (CountTable.top_rows(5000, 2), weighted_table(5000, 2)):
         built = np.flatnonzero(np.isfinite(table.log_halfwalk))
         summed.append(int(np.sum((5000 - built) // 2 + 1)))
-    # the row certificate sums every built row a second time
-    assert seen == [2 * summed[0], summed[1]]
+    # each route sums every built row once
+    assert seen == summed
 
 
 def test_top_rows_admit_a_million_before_any_row(monkeypatch):
@@ -662,10 +653,10 @@ def test_log_work_guard_bounds_the_rows_each_route_sums(monkeypatch):
     monkeypatch.setattr(walks, "LOG_WORK_LIMIT", 5 * 10**6)
     with pytest.raises(SizeExceeded):
         CountTable.build(5000, 2, mode="log")
-    assert np.isfinite(CountTable.weighted(5000, 2).log_total)
+    assert np.isfinite(weighted_table(5000, 2).log_total)
     monkeypatch.setattr(walks, "LOG_WORK_LIMIT", 10**6)
     with pytest.raises(SizeExceeded):
-        CountTable.weighted(5000, 2)
+        weighted_table(5000, 2)
 
 
 def test_count_table_log_mode_reaches_large_sizes():
