@@ -8,29 +8,28 @@ shrinks to.  A field that counts non-flat letters, applied at strength
 sector depends only on the total imbalance ``m = p + q`` and equals the
 field strength times the mean non-flat count over the sector.
 
-The mean non-flat count has a closed form as a ratio of two sums over the
-number of matched pairs, evaluated exactly in integers for short chains
-and in log space for long ones.  The module also builds the explicit
-tensor-product ground state of the one-color boundary-free chain and a
-small-system check that sector-restricted diagonalization reproduces the
-first-order energies.
+The mean non-flat count is read exactly from two integer count rows: the
+flats of the prefixes ending at height ``m`` total ``n M(n-1, m, s)``, one
+per place a flat can be inserted into a shorter prefix.  The module also
+builds the tensor-product ground state of the one-color boundary-free
+chain and a small-system check that sector-restricted diagonalization
+reproduces the first-order energies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InvalidSpec, SizeExceeded
 from .hamiltonian import ChainSpec, build_hamiltonian, local_move_classes, lowest_spectrum
 from .schmidt import sigma
-from .walks import EXACT_LIMIT, _logsumexp, halfwalk_term_row, log_halfwalk_terms
+from .walks import halfwalk_row
 
-LOG_LIMIT = 2000
+FIELD_LIMIT = 2000
 
 
 def _check_height_args(n: int, m: int, s: int) -> None:
@@ -42,33 +41,31 @@ def _check_height_args(n: int, m: int, s: int) -> None:
         raise DomainError(f"no length-{n} walk ends at height {m}")
 
 
+@lru_cache(maxsize=2)
+def _shorter_row(n: int, s: int) -> tuple[int, ...]:
+    """``M(n-1, m, s)`` for ``m = 0..n-1``, then two zeros, so that the
+    indices ``-1``, ``n`` and ``n+1`` read as empty heights."""
+    return (*halfwalk_row(n - 1, s), 0, 0)
+
+
 def field_expectation_exact(n: int, m: int, s: int) -> float:
     """Mean non-flat step count over colored prefixes of length ``n``
-    ending at height ``m``.
+    ending at height ``m``, up to ``n = FIELD_LIMIT``.
 
-    A prefix with ``i`` matched pairs has ``m + 2i`` non-flat steps, so the
-    mean is ``m + 2 * sum_i i T_i / sum_i T_i`` with
-    ``T_i = C(n, 2i+m) ballot(2i+m, m) s**i``.  Exact integer arithmetic up
-    to ``n = EXACT_LIMIT``; log space beyond that, up to ``n = LOG_LIMIT``.
+    Marking one flat step of a length-``n`` prefix is inserting a flat into
+    a length-``(n-1)`` prefix at one of ``n`` places, so the flats total
+    ``n M(n-1, m, s)`` and the mean is ``n - n M(n-1, m, s) / M(n, m, s)``;
+    the last step gives ``M(n, m) = M(n-1, m-1) + M(n-1, m) + s M(n-1, m+1)``.
+    One integer true division rounds the part above ``m`` once.
     """
     _check_height_args(n, m, s)
-    if n <= EXACT_LIMIT:
-        terms = halfwalk_term_row(n, m, s)
-        num = sum(i * term for i, term in enumerate(terms))
-        return m + float(Fraction(2 * num, sum(terms)))
-    if n > LOG_LIMIT:
-        raise SizeExceeded(f"log-space sums stop at n = {LOG_LIMIT}")
-    return _log_mean(m, next(log_halfwalk_terms(n, s, m, m + 1))[0])
-
-
-def _log_mean(m: int, log_terms: np.ndarray) -> float:
-    """``m + 2 sum_i i T_i / sum_i T_i`` from the row ``log T_0..log T_p``."""
-    pairs_max = log_terms.size - 1
-    if pairs_max == 0:
-        return float(m)
-    log_den = _logsumexp(log_terms)
-    log_num = _logsumexp(log_terms[1:] + np.log(np.arange(1, pairs_max + 1)))
-    return m + 2.0 * math.exp(log_num - log_den)
+    if n > FIELD_LIMIT:
+        raise SizeExceeded(f"field means stop at n = {FIELD_LIMIT}")
+    if n == 0:
+        return 0.0
+    prev = _shorter_row(n, s)
+    full = prev[m - 1] + prev[m] + s * prev[m + 1]
+    return m + (n * (full - prev[m]) - m * full) / full
 
 
 def field_expectation_asymptotic(n: int, m: int, s: int) -> float:
@@ -121,19 +118,14 @@ def field_energies(n: int, s: int, epsilon0: float, m_max: int | None = None) ->
     if not 0.0 < epsilon0 < 1.0:
         raise DomainError("epsilon0 must lie in (0, 1)")
     two_n = 2 * n
-    if two_n > LOG_LIMIT:
-        raise SizeExceeded(f"field energies stop at n = {LOG_LIMIT // 2}")
+    if two_n > FIELD_LIMIT:
+        raise SizeExceeded(f"field energies stop at n = {FIELD_LIMIT // 2}")
     if m_max is None:
         m_max = two_n
     if not 0 <= m_max <= two_n:
         raise DomainError(f"m_max must lie in [0, {two_n}]")
     _check_height_args(two_n, m_max, s)
-    if two_n <= EXACT_LIMIT:
-        means = (field_expectation_exact(two_n, m, s) for m in range(m_max + 1))
-    else:
-        # one term generator for every height, each row cut to its length
-        rows = chain.from_iterable(log_halfwalk_terms(two_n, s, 0, m_max + 1))
-        means = (_log_mean(m, row[: (two_n - m) // 2 + 1]) for m, row in enumerate(rows))
+    means = (field_expectation_exact(two_n, m, s) for m in range(m_max + 1))
     expectations: dict[int, float] = {}
     energies: dict[int, float] = {}
     for m, mean in enumerate(means):

@@ -218,11 +218,7 @@ def full_walk_count(n: int, s: int) -> int:
     colors are free and a suffix whose closing colors are forced, giving
     ``sum_m s**m * M(n,m,s)**2``.
     """
-    total = 0
-    for m in range(n + 1):
-        half = colored_halfwalk_count(n, m, s)
-        total += s**m * half * half
-    return total
+    return sum(s**m * c * c for m, c in enumerate(halfwalk_row(n, s)))
 
 
 def dyck_area_total(length: int) -> int:

@@ -505,18 +505,18 @@ def test_field_accepts_a_shift_that_falls_across_parities(capsys):
 
 
 def test_field_bytes_are_stable(capsys):
-    # recorded from the log-space kernel that evaluated every term with fresh
-    # temporaries; every height past n = 300 reads one row of log-space terms
+    # recorded from the two exact count rows, whose 2,001 means each equal
+    # the exact-rational pair-count mean rounded once
     assert main(["field", "--n", "1000", "--s", "2", "--eps0", "0.001"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert len(out) == 6466
+    assert len(out) == 6463
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "601dbc1d931e5d5a22120bdbca9cce24975f2e29f5647272a5ed66fd2e4c4583"
+        "82b62b48e7e9460db7ab91a617396ac5a3ff20abb9ce3b684edddab9d5aa58f5"
     )
 
 
 def test_field_size_error_names_the_half_length(capsys):
-    # the log-space limit is on the 2n sites, so --n stops at 1000
+    # the field's size limit is on the 2n sites, so --n stops at 1000
     assert main(["field", "--n", "1001", "--s", "1", "--eps0", "0.5"]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""

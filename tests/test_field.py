@@ -1,9 +1,10 @@
 """Uniform-field energy shift tests.
 
 The exact height-resolved expectation is compared against direct string
-enumeration at small sizes and against an independent exact-rational sum
-on the log-space branch.  Sector diagonalization then confirms the
-first-order shifts on the actual chain operator.
+enumeration at small sizes and, bit for bit, against an independent
+exact-rational sum over the pair count up to the longest chain.  Sector
+diagonalization then confirms the first-order shifts on the actual chain
+operator.
 """
 
 import hashlib
@@ -60,7 +61,8 @@ def test_expectation_matches_enumeration(s):
 
 
 def _rational_expectation(n, m, s):
-    """Independent exact-rational mean over the pair-count distribution."""
+    """Independent exact mean over the pair-count distribution, rounded once
+    above ``m``: ``m + float(Fraction(2 num, den))``."""
     num = Fraction(0)
     den = Fraction(0)
     for i in range((n - m) // 2 + 1):
@@ -68,13 +70,16 @@ def _rational_expectation(n, m, s):
         term = math.comb(n, 2 * i + m) * ballot * s**i
         num += i * term
         den += term
-    return m + 2 * num / den
+    return m + float(Fraction(2 * num, den))
 
 
-def test_log_space_branch_against_rational_sum():
-    for n, m, s in [(350, 0, 1), (350, 7, 1), (500, 3, 2), (2000, 40, 2)]:
-        expected = float(_rational_expectation(n, m, s))
-        assert field_expectation_exact(n, m, s) == pytest.approx(expected, rel=1e-12)
+@pytest.mark.parametrize(
+    ("n", "m", "s"),
+    [(350, 0, 1), (350, 7, 1), (500, 3, 2), (2000, 40, 2)]
+    + [(2000, m, s) for s in (2, 10**6) for m in (0, 63, 1000, 2000)],
+)
+def test_expectation_against_rational_sum(n, m, s):
+    assert field_expectation_exact(n, m, s) == _rational_expectation(n, m, s)
 
 
 def test_expectation_validation():
@@ -130,24 +135,25 @@ def test_ground_sector_shift_approaches_asymptote():
     assert rel < 1e-3
 
 
-def test_log_space_energies_match_recorded_values():
-    # recorded from the per-height log-space loop the chunked term rows
-    # replaced; the digest covers all 2,001 expectations and energies
+def test_energies_match_recorded_values():
+    # recorded from the two exact count rows, after every one of the 2,001
+    # expectations equalled m + float(Fraction(2 num, den)) of the pair-count
+    # sums; the digest covers all 2,001 expectations and energies
     report = field_energies(1000, 2, 1e-3)
-    assert report.exact_expectations[0] == 1477.2005105130686
-    assert report.exact_expectations[63] == 1477.5623343958034
-    assert report.exact_expectations[500] == 1499.6859743362993
+    assert report.exact_expectations[0] == 1477.2005105133499
+    assert report.exact_expectations[63] == 1477.562334395957
+    assert report.exact_expectations[500] == 1499.6859743364398
     assert report.exact_expectations[2000] == 2000.0
     values = [report.exact_expectations[m] for m in range(2001)]
     values += [report.energies[m] for m in range(2001)]
     digest = hashlib.sha256(np.array(values, dtype="<f8").tobytes()).hexdigest()
-    assert digest == "6f775b58a176ccf7c4c2a419577b440e5753fca7aeb9da3874fd246d87d1c43f"
+    assert digest == "156ed3a249eedbd38c79598827aa4be868910cda8b56036eb23cbad5cd341bd3"
 
 
 @pytest.mark.parametrize(("n", "s"), [(1000, 1), (1000, 2), (151, 2), (151, 3)])
 def test_batched_expectations_equal_the_per_height_route_bit_for_bit(n, s):
-    # chain lengths 2000 and 302: every height read from one term generator
-    # against one generator per height
+    # chain lengths 2000 and 302: the report's loop over heights, which reads
+    # one cached shorter row, against one call per height
     report = field_energies(n, s, 1e-3, m_max=2 * n)
     per_height = [field_expectation_exact(2 * n, m, s) for m in range(2 * n + 1)]
     assert [report.exact_expectations[m] for m in range(2 * n + 1)] == per_height
@@ -164,9 +170,11 @@ def test_first_two_sectors_split_like_inverse_square():
 
 
 def test_sector_split_prefactor_frozen_points():
-    # the scaled split (E_1 - E_0) * 16 sqrt(s) n^2 / eps0 drifts toward 3
+    # the scaled split (E_1 - E_0) * 16 sqrt(s) n^2 / eps0 drifts toward 3;
+    # the n = 1000 value is the exact rational 8n (mean_1 - mean_0) of the
+    # pair-count sums at 2n = 2000, rounded once
     eps0 = 1e-3
-    for n, expected in [(50, 2.9704341947657875), (1000, 2.9985044378011416)]:
+    for n, expected in [(50, 2.9704341947657875), (1000, 2.998501100748587)]:
         r = field_energies(n, 1, eps0, m_max=1)
         scaled = (r.energies[1] - r.energies[0]) * 16 * n**2 / eps0
         assert scaled == pytest.approx(expected, rel=1e-9)
@@ -203,8 +211,7 @@ def test_field_energies_reject_a_fall_within_one_parity(monkeypatch):
         field_energies(6, 1, 0.01)
 
 
-def test_field_energies_reject_bad_colors_on_the_log_route():
-    # 2n = 400 takes the one-generator route, which must still check s
+def test_field_energies_reject_bad_colors_on_a_long_chain():
     with pytest.raises(InvalidSpec):
         field_energies(200, 0, 0.01)
 

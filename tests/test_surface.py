@@ -84,6 +84,10 @@ PAPER_CLAIMS = {
         "mean midpoint height 2 sqrt(2/(3 pi)) sqrt(n) of a one-color walk",
         "test_schmidt.py::test_expected_mid_height_ratio_converges",
     ),
+    "walks.colored_halfwalk_count": (
+        "the pair-count sum M(n,m,s) = sum_i C(n,2i+m) ballot(2i+m,m) s^i",
+        "test_walks.py::test_colored_halfwalk_count_matches_enumeration",
+    ),
     "walks.full_walk_count": (
         "a walk glues from two half-walks: sum_m s^m M(n,m,s)^2",
         "test_walks.py::test_full_walk_count_glues_to_motzkin_number",

@@ -284,6 +284,12 @@ def test_full_walk_count_glues_to_motzkin_number():
     )
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_full_walk_count_refuses_negative_lengths(n):
+    with pytest.raises(DomainError):
+        full_walk_count(n, 2)
+
+
 def test_catalan_asymptotic_within_two_percent_by_fifty():
     # The quoted convergence rate: measured deviation at n=50 is
     # 0.02205572, which exceeds the claimed 2% window.  Kept at the
