@@ -154,14 +154,12 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 # ---------------------------------------------------------------------------
 
 
-def _entropy_rows(n_values: list[int], s: int, mode: str) -> list[list]:
+def _entropy_rows(n_values: list[int], s: int) -> list[list]:
     from .schmidt import entropy_asymptotic, entropy_exact
-    from .walks import CountTable
 
     rows = []
     for n in n_values:
-        table = None if mode == "auto" else CountTable.build(n, s, mode=mode)
-        exact = entropy_exact(n, s, table=table)
+        exact = entropy_exact(n, s)
         asymptotic = entropy_asymptotic(n, s)
         rows.append([n, s, exact, asymptotic, exact / asymptotic])
     return rows
@@ -178,7 +176,7 @@ def _density_rows(lo: float, hi: float, count: int) -> list[list]:
 
 def _cmd_entropy(args) -> int:
     n_values = _parse_int_list(args.n_list, "--n-list")
-    rows = _entropy_rows(n_values, args.s, args.mode)
+    rows = _entropy_rows(n_values, args.s)
     _emit_table(args, _ENTROPY_HEADER, rows)
     return EXIT_OK
 
@@ -333,12 +331,12 @@ def _cmd_reproduce(args) -> int:
     out_path = os.path.join(args.out or ".", f"{args.tag}.{suffix}")
     header = _ENTROPY_HEADER
     if args.tag == "entropy_s1":
-        rows = _entropy_rows(FIGURE_GRID, 1, "auto")
+        rows = _entropy_rows(FIGURE_GRID, 1)
     elif args.tag == "entropy_grid":
-        rows = [row for s in (2, 3, 4, 5) for row in _entropy_rows(FIGURE_GRID, s, "auto")]
+        rows = [row for s in (2, 3, 4, 5) for row in _entropy_rows(FIGURE_GRID, s)]
     elif args.tag == "ratio":
         header = ["n", "ratio"]
-        rows = [[row[0], row[4]] for row in _entropy_rows(FIGURE_GRID, 2, "auto")]
+        rows = [[row[0], row[4]] for row in _entropy_rows(FIGURE_GRID, 2)]
     else:
         header = ["x", "f_A"]
         rows = _density_rows(0.01, 3.0, 300)
@@ -390,10 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     entropy = command("entropy", "middle-cut entanglement entropy table", _cmd_entropy, "csv")
     entropy.add_argument("--s", type=int, required=True, help="number of letter colors")
     entropy.add_argument("--n-list", required=True, help="comma-separated half-chain sizes")
-    entropy.add_argument(
-        "--mode", choices=("auto", "exact", "log"), default="auto",
-        help="counting arithmetic (auto switches at the exact-table limit)",
-    )
 
     spectrum = command("spectrum", "lowest chain eigenvalues", _cmd_spectrum, "json")
     spectrum.add_argument("--two-n", type=int, required=True, help="chain length")

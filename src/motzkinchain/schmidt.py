@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .walks import EXACT_LIMIT, CountTable, halfwalk_term_row, log_halfwalk_terms
+from .walks import EXACT_LIMIT, CountTable, _LogTerms, halfwalk_term_row
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -81,19 +81,13 @@ def schmidt_spectrum(table: CountTable) -> SchmidtSpectrum:
     )
 
 
-def entropy_exact(n: int, s: int, table: CountTable | None = None) -> float:
-    """Entanglement entropy ``-sum_m s**m p_m ln p_m`` across the middle cut.
-
-    Without a table, works from exact counts up to ``n = EXACT_LIMIT`` and
-    beyond that from the log-space rows near the top Schmidt weight
-    (:meth:`CountTable.top_rows`), a superset of the rows kept here, whose
-    omitted terms and rows are under ``(n+1) exp(-90)`` of the total, far
-    below one ulp.
+def entropy_exact(n: int, s: int) -> float:
+    """Entanglement entropy ``-sum_m s**m p_m ln p_m`` across the middle cut,
+    from :meth:`CountTable.build`: exact counts up to ``n = EXACT_LIMIT`` and
+    beyond that the log-space rows near the top Schmidt weight, a superset of
+    the rows kept here.
     """
-    if table is None:
-        table = CountTable.build(n, s) if n <= EXACT_LIMIT else CountTable.top_rows(n, s)
-    elif (table.n, table.s) != (n, s):
-        raise InvalidSpec("table does not match the requested (n, s)")
+    table = CountTable.build(n, s)
     logw = table.log_schmidt_weight()
     logp = schmidt_spectrum(table).log_probability
     keep = logw >= np.max(logw) + TRUNCATION_LOG_CUTOFF
@@ -156,7 +150,8 @@ def halfwalk_term_argmax(n: int, m: int, s: int) -> int:
     if n <= EXACT_LIMIT:
         terms = halfwalk_term_row(n, m, s)
         return max(range(len(terms)), key=terms.__getitem__)
-    return int(np.argmax(next(log_halfwalk_terms(n, s, m, m + 1))[0]))
+    pairs = np.arange((n - m) // 2 + 1)
+    return int(np.argmax(_LogTerms(n, s).points(np.full(pairs.size, m), pairs)))
 
 
 def expected_mid_height(n: int) -> tuple[float, float]:

@@ -10,18 +10,12 @@ case.  The canonical order is lexicographic over the letters flat, downs,
 ups, colors ascending within a kind: the digits ``0, s+1..2s, 1..s``.  The
 token text writes the same letters as ``0``, ``dc`` and ``uc``.
 
-The module offers two arithmetic routes for the counting functions:
-
-* exact arbitrary-precision integers, used for half-chain lengths up to
-  ``EXACT_LIMIT``, a row at a time from an O(n) recurrence;
-* natural-log floating point built on ``gammaln``, usable far beyond that:
-  only the window of each row's terms that can reach a nonzero float after
-  ``exp`` is built, keeping every bit of the per-height formula; the
-  entropy reads only the rows near the top weight, from narrower windows,
-  whose omitted terms and rows lie far below one ulp of each sum.
-
-``CountTable`` bundles both and is the input to the Schmidt-spectrum and
-external-field modules.
+Counts are exact arbitrary-precision integers, a row at a time from an O(n)
+recurrence.  ``CountTable.build``, the input to the Schmidt-spectrum module,
+reads those rows up to ``EXACT_LIMIT`` and past it natural logs built on
+``gammaln``: only the rows near the top Schmidt weight, each from the window
+of its terms near the peak, so that what is left out lies far below one ulp
+of each sum.
 """
 
 from __future__ import annotations
@@ -42,9 +36,7 @@ ENUMERATION_GUARD = 10**8
 _TERM_CHUNK = 2**15
 # row entries a log-space table may sum (n**2/4 in full; 4.7e9 in the top rows at n = 10**6, s = 2)
 LOG_WORK_LIMIT = 3 * 10**10
-# exp is an exact 0 below -745.2: terms this far below their peak, with 4 to spare
-_WINDOW_DEPTH = 750.0
-# the entropy's route: rows within _TOP_CUT of the top Schmidt weight (entropy_exact
+# past EXACT_LIMIT: rows within _TOP_CUT of the top Schmidt weight (entropy_exact
 # keeps those within 80), each from a window _TOP_DEPTH below its peak
 _TOP_CUT = 90.0
 _TOP_DEPTH = 100.0
@@ -151,7 +143,7 @@ def ballot_count(length: int, m: int) -> int:
 def halfwalk_term_row(n: int, m: int, s: int) -> list[int]:
     """The summands ``C(n, 2i+m) * ballot(2i+m, m) * s**i`` of ``M(n, m, s)``,
     one per number ``i = 0..(n-m)//2`` of matched pairs; the exact twin of
-    :func:`log_halfwalk_terms`."""
+    :class:`_LogTerms`."""
     return [
         binomial(n, 2 * i + m) * ballot_count(2 * i + m, m) * s**i
         for i in range((n - m) // 2 + 1)
@@ -320,22 +312,6 @@ class _LogTerms:
         return np.clip(np.ceil(root), 0, last).astype(np.int64)
 
 
-def log_halfwalk_terms(n: int, s: int, m_start: int, m_stop: int) -> Iterator[np.ndarray]:
-    """Yield the summands of ``log M(n, m, s)`` (see :class:`_LogTerms`) for
-    ``m_start <= m < m_stop``: chunks of about ``_TERM_CHUNK`` entries,
-    heights in rows, pair counts from 0 in columns, each a view of one
-    buffer that the next chunk overwrites; copy one to keep it."""
-    terms = _LogTerms(n, s)
-    width = (n - m_start) // 2 + 1
-    buffer, scratch = np.empty((2, min(max(_TERM_CHUNK, width), max(m_stop - m_start, 0) * width)))
-    m0 = m_start
-    while m0 < m_stop:
-        width = (n - m0) // 2 + 1
-        shape = (min(m_stop - m0, max(1, _TERM_CHUNK // width)), width)
-        yield terms.block(m0, 0, *(b[: shape[0] * width].reshape(shape) for b in (buffer, scratch)))
-        m0 += shape[0]
-
-
 def _row_windows(terms: _LogTerms, depth: float, cut: float) -> tuple[int, np.ndarray, np.ndarray]:
     """The first row to build and the first and last pair count of each built
     row's window (the terms within ``depth`` of its peak).  The rows built run
@@ -377,8 +353,8 @@ def _log_halfwalk(n: int, s: int, depth: float, cut: float) -> tuple[np.ndarray,
     ``depth`` and ``cut`` past exp's underflow every term and row left out is
     an exact 0 and the result has every bit of the full sums.  Otherwise a
     term outside a window lies below ``exp(-depth)`` of its row's peak and a
-    row left out below ``exp(-cut)`` of the top weight; at the entropy's 100
-    and 90 what is omitted is under ``(n+1) exp(-90)`` relative, far below
+    row left out below ``exp(-cut)`` of the top weight; at ``_TOP_DEPTH`` and
+    ``_TOP_CUT`` what is omitted is under ``(n+1) exp(-90)`` relative, far below
     one ulp, so a bit can move only where a partial sum lies that close to a
     rounding boundary."""
     terms = _LogTerms(n, s)
@@ -416,55 +392,33 @@ def _log_halfwalk(n: int, s: int, depth: float, cut: float) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _check_table_args(n: int, s: int) -> None:
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if s < 1:
-        raise InvalidSpec("color count s must be >= 1")
-
-
 @dataclass
 class CountTable:
-    """Half-walk counts for one ``(n, s)``: exact integers where feasible,
-    natural logs always.
+    """``log M(n, m, s)`` for ``m = 0..n`` and the log full-walk count
+    ``log sum_m s**m M(n, m, s)**2`` of the doubled chain.
 
-    ``halfwalk[m]`` is the count of length-``n`` prefixes ending at height
-    ``m`` with open-step colors not counted; ``total`` is the full-walk count
-    ``sum_m s**m halfwalk[m]**2`` for the doubled chain.
+    Exact integer rows up to ``EXACT_LIMIT``; past it the log-space rows
+    within ``_TOP_CUT`` of the top Schmidt weight, each from a window
+    ``_TOP_DEPTH`` deep, and -inf elsewhere: what is left out is under
+    ``(n+1) exp(-90)`` relative, far below one ulp (see :func:`_log_halfwalk`).
     """
 
     n: int
     s: int
     log_halfwalk: np.ndarray
     log_total: float
-    halfwalk: list[int] | None = None
-    total: int | None = None
 
     @classmethod
-    def build(cls, n: int, s: int, mode: str = "auto") -> "CountTable":
-        """``mode`` is ``"auto"`` (exact up to EXACT_LIMIT), ``"exact"``, or ``"log"``."""
-        _check_table_args(n, s)
-        if mode not in ("auto", "exact", "log"):
-            raise InvalidSpec(f"unknown CountTable mode {mode!r}")
-        if mode == "exact" and n > EXACT_LIMIT:
-            raise SizeExceeded(f"exact tables stop at n = {EXACT_LIMIT}")
-        if mode == "exact" or (mode == "auto" and n <= EXACT_LIMIT):
-            counts = halfwalk_row(n, s)
-            total = sum(s**m * c * c for m, c in enumerate(counts))
-            logs = np.array([math.log(c) if c else -math.inf for c in counts], dtype=float)
-            return cls(n, s, logs, math.log(total), halfwalk=counts, total=total)
-        _check_log_work(n + 1 + n * n // 4)
-        return cls(n, s, *_log_halfwalk(n, s, _WINDOW_DEPTH, math.inf))
-
-    @classmethod
-    def top_rows(cls, n: int, s: int) -> "CountTable":
-        """The log-space table of the rows within ``_TOP_CUT`` of the top
-        Schmidt weight, each from a window ``_TOP_DEPTH`` deep, -inf
-        elsewhere; what it leaves out of those rows and of ``log_total``, next
-        to :meth:`build`'s, is under ``(n+1) exp(-90)`` relative, far below
-        one ulp (see :func:`_log_halfwalk`)."""
-        _check_table_args(n, s)
-        return cls(n, s, *_log_halfwalk(n, s, _TOP_DEPTH, _TOP_CUT))
+    def build(cls, n: int, s: int) -> "CountTable":
+        if n < 0:
+            raise DomainError("n must be >= 0")
+        if s < 1:
+            raise InvalidSpec("color count s must be >= 1")
+        if n > EXACT_LIMIT:
+            return cls(n, s, *_log_halfwalk(n, s, _TOP_DEPTH, _TOP_CUT))
+        counts = halfwalk_row(n, s)
+        logs = np.array([math.log(c) if c else -math.inf for c in counts], dtype=float)
+        return cls(n, s, logs, math.log(sum(s**m * c * c for m, c in enumerate(counts))))
 
     def log_schmidt_weight(self) -> np.ndarray:
         """Log of ``s**m * p_m`` for each ``m``; the weights sum to one."""

@@ -2,12 +2,16 @@
 
 Everything here works on plain digit tuples with its own stack scans, so
 the expected values it produces do not depend on the library code under
-test.  Digit convention, shared with the library's walks: 0 is a flat
-site, 1..s are open letters by color, s+1..2s are the matching close
-letters.
+test.  The one exception, ``full_log_table``, keeps the library's all-row
+log-space table as the oracle of the rows ``CountTable.build`` keeps.
+Digit convention, shared with the library's walks: 0 is a flat site, 1..s
+are open letters by color, s+1..2s are the matching close letters.
 """
 
+import math
 from itertools import product
+
+from motzkinchain import walks
 
 
 def all_digit_strings(length, s):
@@ -116,3 +120,10 @@ def halfwalk_table(max_length, s):
                 val += prev[h - 1]
             row[h] = val
     return [row[: L + 1] for L, row in enumerate(table)]
+
+
+def full_log_table(n, s):
+    """Every row of ``log M(n, m, s)``, each from a window 750 below its peak,
+    past exp's underflow at -745.2: the bits of the full per-height sums,
+    against which ``CountTable.build``'s rows near the top weight are checked."""
+    return walks.CountTable(n, s, *walks._log_halfwalk(n, s, 750.0, math.inf))

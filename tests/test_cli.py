@@ -75,7 +75,7 @@ def test_global_flags_work_on_either_side(capsys):
 # at 80 columns
 HELP_SHA256 = {
     "": "18871f5e4549d839b660f182ea753249e4842f8cae0055119a632dfed47ce9f3",
-    "entropy": "b4873c2654c942914c31f434e2f14131c4a11150bb1dc0f7f0518e5c34ad2722",
+    "entropy": "fa85a2ecc7a9d5fecece9dc4cd838e3118a5ed7864983f1a1e5c72118e5b0df4",
     "spectrum": "c6b39ce7c324111b0e66b4b4b41bf581323d4699c41e7433e85cd2416a8625a8",
     "gap": "4c963226b71a23e4674785eb38af67f70be762224ad67a04e5a8663fc06e45a0",
     "classes": "a306845c7a3eee3a93157e45a76583bb41bfb35eb0786c6c7cdbe81e3ed5c183",
@@ -123,26 +123,12 @@ def test_entropy_bytes_are_stable(s, size, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("s", [1, 2, 3])
-def test_entropy_log_mode_prints_the_auto_route_bytes(s, capsys):
-    # --mode log builds every row of the full table; auto, past the exact
-    # limit, only the rows and terms that carry weight
-    sizes = "301,1999,5000"
-    assert main(["entropy", "--s", str(s), "--n-list", sizes, "--mode", "log"]) == EXIT_OK
-    full = capsys.readouterr().out
-    assert main(["entropy", "--s", str(s), "--n-list", sizes]) == EXIT_OK
-    assert capsys.readouterr().out == full
-
-
-def test_entropy_log_mode_refuses_a_million_before_any_row(capsys, monkeypatch):
+def test_entropy_past_the_work_limit_exits_with_a_validation_error(capsys, monkeypatch):
     from motzkinchain import walks
 
-    def no_rows(*args, **kwargs):
-        raise AssertionError("a row was built")
-
-    monkeypatch.setattr(walks, "_log_halfwalk", no_rows)
-    argv = ["entropy", "--s", "2", "--n-list", "1000000", "--mode", "log"]
-    assert main(argv) == EXIT_VALIDATION
+    # the rows near the top weight at n = 5000, s = 2 sum about 1.5e6 entries
+    monkeypatch.setattr(walks, "LOG_WORK_LIMIT", 10**6)
+    assert main(["entropy", "--s", "2", "--n-list", "5000"]) == EXIT_VALIDATION
     assert "LOG_WORK_LIMIT" in capsys.readouterr().err
 
 

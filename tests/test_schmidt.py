@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import iter_matched_digit_strings
+from conftest import full_log_table, iter_matched_digit_strings
 from motzkinchain.errors import InvalidSpec
 from motzkinchain.schmidt import (
     EULER_GAMMA,
@@ -27,7 +27,7 @@ from motzkinchain.schmidt import (
     schmidt_spectrum,
     sigma,
 )
-from motzkinchain.walks import CountTable
+from motzkinchain.walks import CountTable, full_walk_count, halfwalk_row
 
 
 def schmidt_weight_argmax(table):
@@ -135,7 +135,8 @@ def test_spectrum_matches_brute_svd(n, s):
     brute = np.sort(brute_schmidt_values(n, s))[::-1]
     brute = brute[brute > 1e-12] ** 2
     table = CountTable.build(n, s)
-    exact = [float(Fraction(table.halfwalk[m] ** 2, table.total)) for m in range(n + 1)]
+    total = full_walk_count(n, s)
+    exact = [float(Fraction(count**2, total)) for count in halfwalk_row(n, s)]
     np.testing.assert_allclose(np.exp(schmidt_spectrum(table).log_probability), exact, rtol=1e-14)
     expanded = [p for m, p in enumerate(exact) for _ in range(s**m)]
     expected = np.sort(np.array(expanded))[::-1]
@@ -155,11 +156,6 @@ def test_entropy_two_site_values():
 @pytest.mark.parametrize(("n", "s"), [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
 def test_entropy_matches_brute_force(n, s):
     assert entropy_exact(n, s) == pytest.approx(brute_entropy_nats(n, s), abs=1e-10)
-
-
-def test_entropy_accepts_prebuilt_table():
-    table = CountTable.build(7, 2)
-    assert entropy_exact(7, 2, table=table) == entropy_exact(7, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +255,7 @@ def test_term_argmax_rejects_heights_outside_the_walk_and_bad_colors(n, m, s):
 
 
 def test_weight_peak_near_predicted_height():
-    table = CountTable.build(10**4, 2, mode="log")
+    table = CountTable.build(10**4, 2)
     peak = schmidt_weight_argmax(table)
     predicted = alpha_peak(2) * 100.0
     assert abs(peak - predicted) / predicted < 0.03
@@ -278,6 +274,14 @@ def test_expected_mid_height_smallest_chain():
 def test_expected_mid_height_asymptotic_form():
     _, asym = expected_mid_height(10**4)
     assert asym == pytest.approx(2.0 * math.sqrt(2.0 / (3.0 * math.pi)) * 100.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [301, 5000])
+def test_expected_mid_height_has_the_bits_of_the_full_table(n):
+    # the rows near the top weight against every row, past the exact limit
+    logw = full_log_table(n, 1).log_schmidt_weight()
+    w = np.exp(logw - np.max(logw))
+    assert expected_mid_height(n)[0] == float(np.sum(np.arange(n + 1) * w) / np.sum(w))
 
 
 def test_expected_mid_height_ratio_converges():

@@ -8,7 +8,6 @@ checked independently (math.comb, explicit DP recurrences).
 import hashlib
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from scipy.special import gammaln
 from conftest import (
     all_digit_strings,
     digits_form_walk,
+    full_log_table,
     halfwalk_table,
     heights_of_digits,
     is_dyck,
@@ -38,7 +38,6 @@ from motzkinchain.walks import (
     enumerate_walks,
     full_walk_count,
     halfwalk_row,
-    log_halfwalk_terms,
     motzkin_number,
 )
 
@@ -427,7 +426,7 @@ def test_log_binomial_scalar_and_array():
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_log_count_matches_exact(s):
     for n in (5, 40, 120):
-        logs = CountTable.build(n, s, mode="log").log_halfwalk
+        logs = full_log_table(n, s).log_halfwalk
         for m in range(0, n + 1, max(1, n // 7)):
             exact = colored_halfwalk_count(n, m, s)
             assert logs[m] == pytest.approx(math.log(exact), rel=1e-12)
@@ -439,17 +438,18 @@ def test_log_count_matches_exact(s):
 
 
 def test_count_table_probabilities_one_color():
+    assert halfwalk_row(1, 1) == [1, 1] and full_walk_count(1, 1) == 2
     table = CountTable.build(1, 1)
-    assert Fraction(table.halfwalk[0] ** 2, table.total) == Fraction(1, 2)
-    assert Fraction(table.halfwalk[1] ** 2, table.total) == Fraction(1, 2)
+    probabilities = np.exp(2.0 * table.log_halfwalk - table.log_total)
+    np.testing.assert_allclose(probabilities, [0.5, 0.5], rtol=1e-15)
 
 
 def test_count_table_probabilities_two_colors():
+    assert halfwalk_row(1, 2) == [1, 1] and full_walk_count(1, 2) == 3
     table = CountTable.build(1, 2)
-    assert table.halfwalk == [1, 1]
-    assert table.total == 3
-    assert Fraction(table.halfwalk[0] ** 2, table.total) == Fraction(1, 3)
-    assert Fraction(table.halfwalk[1] ** 2, table.total) == Fraction(1, 3)  # multiplicity 2
+    # 1/3 each, one at m=0 and two (by color) at m=1
+    probabilities = np.exp(2.0 * table.log_halfwalk - table.log_total)
+    np.testing.assert_allclose(probabilities, [1.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
 
 
 @pytest.mark.parametrize("s", [1, 2, 4])
@@ -466,8 +466,8 @@ def test_count_table_weights_normalize(s):
 )
 @settings(max_examples=40, deadline=None)
 def test_count_table_log_mode_matches_exact_mode(n, s):
-    exact = CountTable.build(n, s, mode="exact")
-    logged = CountTable.build(n, s, mode="log")
+    exact = CountTable.build(n, s)
+    logged = full_log_table(n, s)
     np.testing.assert_allclose(
         logged.log_halfwalk, exact.log_halfwalk, rtol=1e-11, atol=1e-11
     )
@@ -479,7 +479,7 @@ def test_count_table_log_mode_matches_exact_mode(n, s):
 def test_log_table_matches_per_height_loop_bit_for_bit(n, s):
     # even and odd n; n <= 3 fits one chunk, 301 and 302 take two, 1999 and
     # 5000 take 33 and 198
-    table = CountTable.build(n, s, mode="log")
+    table = full_log_table(n, s)
     logs = np.array([per_height_log_count(n, m, s) for m in range(n + 1)])
     weights = np.arange(n + 1) * math.log(s) + 2.0 * logs
     peak = float(np.max(weights))
@@ -493,7 +493,7 @@ def test_log_table_memory_stays_linear():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        CountTable.build(5000, 2, mode="log")
+        full_log_table(5000, 2)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -511,31 +511,27 @@ def test_log_table_memory_stays_linear():
     ],
 )
 def test_log_terms_match_per_height_terms_bit_for_bit(n, s, m_start, m_stop):
-    m = m_start
-    for chunk in log_halfwalk_terms(n, s, m_start, m_stop):
-        for row in chunk:
-            terms = per_height_log_terms(n, m, s)
-            padding = np.full(row.size - terms.size, -math.inf)
-            assert np.array_equal(row, np.concatenate([terms, padding])), m
-            m += 1
-    assert m == m_stop
-
-
-def test_log_terms_chunks_are_views_of_one_buffer():
-    # documented: the next chunk overwrites the last, so a caller that keeps
-    # two chunks must copy the first
-    chunks = log_halfwalk_terms(1999, 2, 0, 2000)
-    first = next(chunks)
-    kept = first.copy()
-    second = next(chunks)
-    assert np.shares_memory(first, second)
-    assert not np.array_equal(first, kept)
+    # blocks of 64 rows as wide as their first, from pair count 0 and from a
+    # third of the width on, and each row again as gathered points
+    terms = walks._LogTerms(n, s)
+    for m0 in range(m_start, m_stop, 64):
+        g, width = min(64, m_stop - m0), (n - m0) // 2 + 1
+        block = terms.block(m0, 0, np.empty((g, width)), np.empty((g, width)))
+        c0 = width // 3
+        shifted = terms.block(m0, c0, np.empty((g, width - c0)), np.empty((g, width - c0)))
+        assert np.array_equal(shifted, block[:, c0:])
+        for m, row in enumerate(block, m0):
+            expected = per_height_log_terms(n, m, s)
+            padding = np.full(width - expected.size, -math.inf)
+            assert np.array_equal(row, np.concatenate([expected, padding])), m
+            pairs = np.arange(expected.size)
+            assert np.array_equal(terms.points(np.full(pairs.size, m), pairs), expected), m
 
 
 def weighted_table(n, s):
     """The rows whose Schmidt weight can reach a nonzero float, each from a
     window past exp's underflow: the full table's bits on every row kept."""
-    return CountTable(n, s, *walks._log_halfwalk(n, s, walks._WINDOW_DEPTH, walks._WINDOW_DEPTH))
+    return CountTable(n, s, *walks._log_halfwalk(n, s, 750.0, 750.0))
 
 
 WEIGHTED_CASES = [(n, s) for n in (301, 302, 1999, 5000) for s in (1, 2, 3, 4)] + [(3001, 10**6)]
@@ -543,7 +539,7 @@ WEIGHTED_CASES = [(n, s) for n in (301, 302, 1999, 5000) for s in (1, 2, 3, 4)] 
 
 @pytest.mark.parametrize(("n", "s"), WEIGHTED_CASES)
 def test_weighted_rows_equal_the_full_table_where_they_carry_weight(n, s):
-    full = CountTable.build(n, s, mode="log")
+    full = full_log_table(n, s)
     weighted = weighted_table(n, s)
     kept = np.isfinite(weighted.log_halfwalk)
     assert np.array_equal(weighted.log_halfwalk[kept], full.log_halfwalk[kept])
@@ -558,16 +554,13 @@ def test_weighted_rows_equal_the_full_table_where_they_carry_weight(n, s):
 @pytest.mark.parametrize("s", [1, 2, 3])
 @pytest.mark.parametrize("n", [1999, 5000])
 def test_every_term_outside_a_window_rounds_to_zero(n, s):
-    m_lo, first, final = walks._row_windows(walks._LogTerms(n, s), walks._WINDOW_DEPTH, math.inf)
+    m_lo, first, final = walks._row_windows(walks._LogTerms(n, s), 750.0, math.inf)
     assert m_lo == 0 and first.size == n + 1
-    m = 0
-    for chunk in log_halfwalk_terms(n, s, 0, n + 1):
-        for row in chunk:
-            terms = row[: (n - m) // 2 + 1]
-            outside = np.ones(terms.size, dtype=bool)
-            outside[first[m] : final[m] + 1] = False
-            assert np.all(terms[outside] < terms.max() - 746.0), m
-            m += 1
+    for m in range(n + 1):
+        terms = per_height_log_terms(n, m, s)
+        outside = np.ones(terms.size, dtype=bool)
+        outside[first[m] : final[m] + 1] = False
+        assert np.all(terms[outside] < terms.max() - 746.0), m
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -577,14 +570,11 @@ def test_every_term_outside_a_top_window_is_below_the_bound(n, s):
     # most 2 exp(-depth) below its row's peak once exp has run
     depth = walks._TOP_DEPTH
     m_lo, first, final = walks._row_windows(walks._LogTerms(n, s), depth, walks._TOP_CUT)
-    m = m_lo
-    for chunk in log_halfwalk_terms(n, s, m_lo, m_lo + first.size):
-        for row in chunk:
-            terms = row[: (n - m) // 2 + 1]
-            outside = np.ones(terms.size, dtype=bool)
-            outside[first[m - m_lo] : final[m - m_lo] + 1] = False
-            assert np.all(np.exp(terms[outside] - terms.max()) <= 2.0 * math.exp(-depth)), m
-            m += 1
+    for m in range(m_lo, m_lo + first.size):
+        terms = per_height_log_terms(n, m, s)
+        outside = np.ones(terms.size, dtype=bool)
+        outside[first[m - m_lo] : final[m - m_lo] + 1] = False
+        assert np.all(np.exp(terms[outside] - terms.max()) <= 2.0 * math.exp(-depth)), m
 
 
 TOP_CASES = [(n, s) for n in (301, 777, 1000, 1999, 3000, 5000, 5001) for s in (1, 2, 3)]
@@ -593,16 +583,18 @@ TOP_CASES += [(10**5, 2), (12345, 1), (3000, 7), (5001, 10)]
 
 
 @pytest.mark.parametrize(("n", "s"), TOP_CASES)
-def test_top_rows_have_the_bits_of_the_full_table(n, s):
-    full = CountTable.build(n, s, mode="log") if n <= 5001 else weighted_table(n, s)
-    top = CountTable.top_rows(n, s)
+def test_top_rows_have_the_bits_of_the_full_table(n, s, monkeypatch):
+    full = full_log_table(n, s) if n <= 5001 else weighted_table(n, s)
+    top = CountTable.build(n, s)
     built = np.isfinite(top.log_halfwalk)
     assert np.array_equal(top.log_halfwalk[built], full.log_halfwalk[built])
     assert top.log_total == full.log_total
     # every row the entropy keeps was built, and the entropy has the same bits
     logw = full.log_schmidt_weight()
     assert built[logw >= logw.max() + TRUNCATION_LOG_CUTOFF].all()
-    assert entropy_exact(n, s) == entropy_exact(n, s, table=full)
+    entropy = entropy_exact(n, s)
+    monkeypatch.setattr(CountTable, "build", classmethod(lambda cls, n, s: full))
+    assert entropy_exact(n, s) == entropy
 
 
 @pytest.mark.parametrize(("n", "s"), TOP_CASES)
@@ -614,7 +606,7 @@ def test_rows_left_out_of_the_top_rows_weigh_below_the_cut(n, s):
     m = np.arange(n + 1)
     last = (n - m) // 2
     upper = m * math.log(s) + 2.0 * (terms.points(m, terms.peaks(m, last)) + np.log(last + 1.0))
-    weight = m * math.log(s) + 2.0 * CountTable.top_rows(n, s).log_halfwalk
+    weight = m * math.log(s) + 2.0 * CountTable.build(n, s).log_halfwalk
     built = np.isfinite(weight)
     assert np.all(upper[built] >= weight[built])
     assert np.sum(np.exp(upper[~built] - weight.max())) < 2.0**-60
@@ -624,7 +616,7 @@ def test_top_rows_count_both_sums_against_the_work_limit(monkeypatch):
     seen = []
     monkeypatch.setattr(walks, "_check_log_work", seen.append)
     summed = []
-    for table in (CountTable.top_rows(5000, 2), weighted_table(5000, 2)):
+    for table in (CountTable.build(5000, 2), weighted_table(5000, 2)):
         built = np.flatnonzero(np.isfinite(table.log_halfwalk))
         summed.append(int(np.sum((5000 - built) // 2 + 1)))
     # each route sums every built row once
@@ -640,17 +632,8 @@ def test_top_rows_admit_a_million_before_any_row(monkeypatch):
 
     monkeypatch.setattr(walks, "_check_log_work", stop)
     with pytest.raises(SizeExceeded):
-        CountTable.top_rows(10**6, 2)
+        CountTable.build(10**6, 2)
     assert len(seen) == 1 and seen[0] <= walks.LOG_WORK_LIMIT
-
-
-def test_log_work_guard_refuses_before_any_row(monkeypatch):
-    def no_rows(*args, **kwargs):
-        raise AssertionError("a row was built")
-
-    monkeypatch.setattr(walks, "_log_halfwalk", no_rows)
-    with pytest.raises(SizeExceeded):
-        CountTable.build(10**6, 2, mode="log")
 
 
 def test_log_work_guard_bounds_the_rows_each_route_sums(monkeypatch):
@@ -658,7 +641,7 @@ def test_log_work_guard_bounds_the_rows_each_route_sums(monkeypatch):
     # weighted rows about half as many
     monkeypatch.setattr(walks, "LOG_WORK_LIMIT", 5 * 10**6)
     with pytest.raises(SizeExceeded):
-        CountTable.build(5000, 2, mode="log")
+        full_log_table(5000, 2)
     assert np.isfinite(weighted_table(5000, 2).log_total)
     monkeypatch.setattr(walks, "LOG_WORK_LIMIT", 10**6)
     with pytest.raises(SizeExceeded):
@@ -666,16 +649,11 @@ def test_log_work_guard_bounds_the_rows_each_route_sums(monkeypatch):
 
 
 def test_count_table_log_mode_reaches_large_sizes():
-    table = CountTable.build(2000, 2, mode="log")
+    table = CountTable.build(2000, 2)
     assert np.isfinite(table.log_total)
-    assert table.halfwalk is None
 
 
 def test_count_table_guards():
-    with pytest.raises(SizeExceeded):
-        CountTable.build(301, 1, mode="exact")
-    with pytest.raises(InvalidSpec):
-        CountTable.build(5, 1, mode="fast")
     with pytest.raises(DomainError):
         CountTable.build(-1, 1)
     with pytest.raises(InvalidSpec):
