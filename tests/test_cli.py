@@ -123,6 +123,21 @@ def test_entropy_bytes_are_stable(s, size, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_entropy_log_mode_prints_the_auto_route_bytes(s, capsys, monkeypatch):
+    # the all-row log table, every row of the full sums, against the default
+    # route, past the exact limit only the rows and terms that carry weight
+    from conftest import full_log_table
+    from motzkinchain import walks
+
+    sizes = "301,1999,5000"
+    assert main(["entropy", "--s", str(s), "--n-list", sizes]) == EXIT_OK
+    auto = capsys.readouterr().out
+    monkeypatch.setattr(walks.CountTable, "build", classmethod(lambda cls, n, s: full_log_table(n, s)))
+    assert main(["entropy", "--s", str(s), "--n-list", sizes]) == EXIT_OK
+    assert capsys.readouterr().out == auto
+
+
 def test_entropy_past_the_work_limit_exits_with_a_validation_error(capsys, monkeypatch):
     from motzkinchain import walks
 

@@ -151,11 +151,13 @@ def test_energies_match_recorded_values():
 
 
 @pytest.mark.parametrize(("n", "s"), [(1000, 1), (1000, 2), (151, 2), (151, 3)])
-def test_batched_expectations_equal_the_rational_sums(n, s):
+def test_batched_expectations_equal_the_per_height_route_bit_for_bit(n, s):
     # chain lengths 2000 and 302: the report's loop over heights, which reads
-    # one cached shorter row, against the independent rational mean at both
-    # ends, next to them and in the middle
+    # one cached shorter row, against one call per height, and both against
+    # the independent rational mean at both ends, next to them and in the middle
     report = field_energies(n, s, 1e-3, m_max=2 * n)
+    per_height = [field_expectation_exact(2 * n, m, s) for m in range(2 * n + 1)]
+    assert [report.exact_expectations[m] for m in range(2 * n + 1)] == per_height
     for m in (0, 1, n, 2 * n - 1, 2 * n):
         assert report.exact_expectations[m] == _rational_expectation(2 * n, m, s), m
 

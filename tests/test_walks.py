@@ -636,6 +636,17 @@ def test_top_rows_admit_a_million_before_any_row(monkeypatch):
     assert len(seen) == 1 and seen[0] <= walks.LOG_WORK_LIMIT
 
 
+def test_log_work_guard_refuses_before_any_row(monkeypatch):
+    # the rows near the top weight at n = 5000, s = 2 sum about 1.5e6 entries
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(walks, "LOG_WORK_LIMIT", 10**6)
+    monkeypatch.setattr(walks._LogTerms, "block", no_rows)
+    with pytest.raises(SizeExceeded):
+        CountTable.build(5000, 2)
+
+
 def test_log_work_guard_bounds_the_rows_each_route_sums(monkeypatch):
     # at n = 5000, s = 2 the full table sums 6,255,001 row entries and the
     # weighted rows about half as many
