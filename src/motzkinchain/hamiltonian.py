@@ -214,8 +214,9 @@ def _assemble(spec: ChainSpec, families: tuple[str, ...]) -> sp.csr_matrix:
 
 def boundary_diagonal(two_n: int, s: int) -> np.ndarray:
     """Penalty vector: right letter on site 1 plus left letter on site 2n."""
-    digits = _digits(np.arange((2 * s + 1) ** two_n), two_n, 2 * s + 1)
-    first, last = digits[0], digits[-1]
+    d = 2 * s + 1
+    configs = np.arange(d**two_n)
+    first, last = configs // d ** (two_n - 1), configs % d
     return ((first > s).astype(float)) + (((last >= 1) & (last <= s)).astype(float))
 
 
@@ -371,16 +372,14 @@ def _symmetry_maps(spec: ChainSpec) -> list[np.ndarray]:
 
 def _sector_orbits(
     matrix: sp.csr_matrix, sector_of: np.ndarray, maps: Sequence[np.ndarray], tolerance: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Orbits of the sectors under index maps that commute with ``matrix``.
 
     Each map must carry whole sectors onto sectors and satisfy
     ``|P H P^T - H|_inf <= tolerance``, else :class:`InvalidSpec`.  The
     representative of an orbit is its lowest-numbered sector.  Returns per
-    sector its representative, the sector it is reached from and the map
-    that reaches it: ``maps[via[b]]`` carries the members of ``source[b]``
-    onto those of ``b``.  A representative is its own source, with
-    ``via`` -1.
+    sector its representative, and per state ``x`` its ``origin``: the
+    state of the representative sector that the maps carry onto ``x``.
     """
     count = int(sector_of.max()) + 1
     first = np.flatnonzero(np.diff(np.maximum.accumulate(sector_of), prepend=-1))
@@ -395,40 +394,19 @@ def _sector_orbits(
             raise InvalidSpec(f"a symmetry map misses the operator by {defect:.3e}")
         images.append(image)
     edges = np.concatenate(images)
-    graph = sp.csr_matrix(
-        (np.ones(edges.size), (np.tile(np.arange(count), len(maps)), edges)),
-        shape=(count, count),
-    )
+    rows = np.tile(np.arange(count, dtype=np.int32), len(maps))
+    graph = sp.csr_matrix((np.ones(edges.size, dtype=bool), (rows, edges)), shape=(count, count))
     _, orbit = csgraph.connected_components(graph, directed=False)
     representative = np.unique(orbit, return_index=True)[1][orbit]
-    source = np.arange(count)
-    via = np.full(count, -1)
-    known = representative == source
-    while not known.all():
-        for g, image in enumerate(images):
-            fresh = np.flatnonzero(known & ~known[image])
-            source[image[fresh]] = fresh
-            via[image[fresh]] = g
-            known[image[fresh]] = True
-    return representative, source, via
-
-
-def _carry(
-    states: np.ndarray,
-    sector: int,
-    source: np.ndarray,
-    via: np.ndarray,
-    maps: Sequence[np.ndarray],
-) -> np.ndarray:
-    """The members of ``sector`` that the maps of :func:`_sector_orbits`
-    carry ``states``, the members of its representative, onto, in order."""
-    steps = []
-    while via[sector] >= 0:
-        steps.append(via[sector])
-        sector = source[sector]
-    for g in reversed(steps):
-        states = maps[g][states]
-    return states
+    # a map carries a whole known sector onto a whole unknown one, so every
+    # image sector is reached by exactly one composed map
+    states = np.arange(sector_of.size, dtype=np.int32)
+    origin = np.where(representative[sector_of] == sector_of, states, -1)
+    while (origin < 0).any():
+        for p in maps:
+            fresh = (origin >= 0) & (origin[p] < 0)
+            origin[p[fresh]] = origin[fresh]
+    return representative, origin
 
 
 # Sectors up to this size are diagonalized densely, larger ones by Lanczos.
@@ -463,7 +441,7 @@ def _lanczos(block: sp.csr_matrix, k: int, v0: np.ndarray, threshold: float):
     """Seeded Lanczos with growing subspace until every residual certifies."""
     dim = block.shape[0]
     last_error: Exception | None = None
-    for ncv in (max(2 * k + 1, 40), 80, 160):
+    for ncv in sorted({max(2 * k + 1, c) for c in (40, 80, 160)}):
         if ncv >= dim:
             break
         try:
@@ -524,13 +502,12 @@ def lowest_spectrum(
 
     sector_of, sector_sizes = sector_split(matrix)
     sector_count = sector_sizes.size
-    maps = _symmetry_maps(op.spec) if isinstance(op, SparseOperator) and op.spec else []
-    if maps:
-        representative, source, via = _sector_orbits(matrix, sector_of, maps, 1e-3 * threshold)
+    if isinstance(op, SparseOperator) and op.spec:
+        maps = _symmetry_maps(op.spec)
+        representative, origin = _sector_orbits(matrix, sector_of, maps, 1e-3 * threshold)
     else:
-        representative = source = np.arange(sector_count)
-        via = np.full(sector_count, -1)
-    solved = via < 0
+        representative, origin = np.arange(sector_count), np.arange(dim)
+    solved = representative == np.arange(sector_count)
     # states by sector size, then sector, then index
     order = np.lexsort((sector_of, sector_sizes[sector_of]))
     v0 = np.random.default_rng(seed).standard_normal(dim)[order]
@@ -548,7 +525,8 @@ def lowest_spectrum(
     firsts = np.concatenate(([0], np.cumsum(sizes * counts)))
     for m, count, first in zip(sizes.tolist(), counts.tolist(), firsts.tolist()):
         want = min(k, m)
-        if m <= _DENSE_CUTOFF or want >= m - 1:
+        # also dense when the first Lanczos subspace would not fit
+        if m <= _DENSE_CUTOFF or max(2 * want + 1, 40) >= m:
             step = max(1, _STACK_ENTRIES // (m * m))
             for lo in range(first, first + count * m, step * m):
                 g = min(step, (first + count * m - lo) // m)
@@ -575,17 +553,19 @@ def lowest_spectrum(
     candidates = np.concatenate([piece[2].ravel() for piece in pieces])
     owner = np.repeat(np.arange(len(pieces)), lengths)
     offset = np.cumsum([0] + lengths)
+    position = np.empty(dim, dtype=np.int64)  # each solved state's row of `permuted`
+    position[order] = np.arange(order.size)
     vectors = np.zeros((dim, k))
     chosen = []
     for flat in np.argsort(candidates, kind="stable"):
         lo, m, piece_values, piece_vectors = pieces[owner[flat]]
         i, j = divmod(int(flat - offset[owner[flat]]), piece_values.shape[1])
-        states = order[lo + i * m:lo + (i + 1) * m]
+        start = lo + i * m
         # a solved eigenpair serves every sector of its orbit, itself first
-        orbit = np.flatnonzero(representative == sector_of[states[0]])
+        orbit = np.flatnonzero(representative == sector_of[order[start]])
         for sector in orbit[:k - len(chosen)]:
-            image = _carry(states, sector, source, via, maps)
-            vectors[image, len(chosen)] = piece_vectors[i, :, j]
+            image = np.flatnonzero(sector_of == sector)
+            vectors[image, len(chosen)] = piece_vectors[i, position[origin[image]] - start, j]
             chosen.append(flat)
         if len(chosen) == k:
             break

@@ -19,6 +19,7 @@ import warnings
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import motzkinchain
@@ -31,6 +32,7 @@ from motzkinchain.cli import (
     write_text_atomic,
 )
 from motzkinchain.excursion import excursion_density, trial_energy_exact, twist_angle
+from motzkinchain.hamiltonian import ChainSpec, build_hamiltonian, sector_split
 from motzkinchain.schmidt import entropy_asymptotic, entropy_exact
 
 
@@ -181,6 +183,23 @@ def test_spectrum_is_deterministic_for_a_fixed_seed(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["method"].startswith("lanczos")
+
+
+def test_spectrum_past_every_lanczos_subspace_goes_dense(capsys):
+    # k = 300 leaves no Lanczos subspace below the 512- and 518-state
+    # sectors, so they are diagonalized densely
+    assert main(["spectrum", "--two-n", "8", "--s", "1", "--k", "300"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "dense"
+    op = build_hamiltonian(ChainSpec(two_n=8, s=1))
+    sector_of, sizes = sector_split(op.matrix)
+    members = np.split(np.argsort(sector_of, kind="stable"), np.cumsum(sizes)[:-1])
+    expected = np.sort(
+        np.concatenate([np.linalg.eigvalsh(op.matrix[m][:, m].toarray()) for m in members])
+    )
+    np.testing.assert_allclose(
+        payload["eigenvalues"], expected[:300], rtol=0, atol=1e-9 * max(op.norm_inf(), 1.0)
+    )
 
 
 def test_gap_table_and_fit_note(capsys):

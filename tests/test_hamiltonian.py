@@ -656,6 +656,80 @@ def test_a_sector_level_off_its_vector_raises(monkeypatch):
     assert failure.value.best_residual == pytest.approx(1e-6, rel=1e-6)
 
 
+def test_mirror_carries_the_second_column_onto_the_third():
+    spec = ChainSpec(two_n=8, s=1)
+    result = lowest_spectrum(build_hamiltonian(spec), k=3)
+    (mirror,) = hamiltonian._symmetry_maps(spec)
+    assert result.eigenvalues[1] == result.eigenvalues[2]
+    assert np.array_equal(result.vectors[mirror, 2], result.vectors[:, 1])
+
+
+@pytest.mark.parametrize(
+    "spec", [ChainSpec(two_n=4, s=3), ChainSpec(two_n=6, s=2, boundary="periodic")], ids=str
+)
+def test_every_moved_column_is_another_column_through_one_map(spec):
+    op = build_hamiltonian(spec)
+    vectors = lowest_spectrum(op, k=6).vectors
+    sector_of, _ = sector_split(op.matrix)
+    maps = hamiltonian._symmetry_maps(spec)
+    for c in range(6):
+        (sector,) = np.unique(sector_of[vectors[:, c] != 0])
+        members = np.flatnonzero(sector_of == sector)
+        if all(np.array_equal(np.sort(p[members]), members) for p in maps):
+            continue  # every map fixes this sector, so no other column is its image
+        assert any(
+            np.array_equal(vectors[p, c], vectors[:, other])
+            for other in range(6)
+            if other != c
+            for p in maps
+        )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainSpec(two_n=8, s=1),
+        ChainSpec(two_n=4, s=3),
+        ChainSpec(two_n=6, s=2, boundary="periodic"),
+        ChainSpec(two_n=6, s=2, boundary="open", field_epsilon0=1e-3),
+    ],
+    ids=str,
+)
+def test_origin_maps_each_image_sector_onto_its_representative(spec):
+    op = build_hamiltonian(spec)
+    sector_of, sizes = sector_split(op.matrix)
+    maps = hamiltonian._symmetry_maps(spec)
+    representative, origin = hamiltonian._sector_orbits(op.matrix, sector_of, maps, 1e-12)
+    assert origin.dtype == np.int32
+    assert np.array_equal(sector_of[origin], representative[sector_of])
+    solved = representative[sector_of] == sector_of
+    assert np.array_equal(origin[solved], np.flatnonzero(solved))
+    for sector in np.flatnonzero(representative != np.arange(sizes.size)):
+        image = origin[sector_of == sector]
+        assert np.array_equal(np.sort(image), np.flatnonzero(sector_of == representative[sector]))
+
+
+def test_lanczos_retries_never_shrink_the_subspace(monkeypatch):
+    op = build_hamiltonian(ChainSpec(two_n=8, s=1))
+    sector_of, sizes = sector_split(op.matrix)
+    members = np.flatnonzero(sector_of == np.flatnonzero(sizes == 512)[0])
+    block = op.matrix[members][:, members]
+    start = np.ones(512) / math.sqrt(512)
+    eigsh, subspaces = hamiltonian.spla.eigsh, []
+
+    def recording(*args, ncv, **kwargs):
+        subspaces.append(ncv)
+        return eigsh(*args, ncv=ncv, **kwargs)
+
+    monkeypatch.setattr(hamiltonian.spla, "eigsh", recording)
+    # a zero threshold certifies nothing, so every subspace is tried in turn
+    for k, tried in ((5, [40, 80, 160]), (30, [61, 80, 160]), (100, [201])):
+        subspaces.clear()
+        with pytest.raises(NoConvergence):
+            hamiltonian._lanczos(block, k, start, threshold=0.0)
+        assert subspaces == tried
+
+
 def test_a_map_that_is_no_symmetry_raises(monkeypatch):
     spec = ChainSpec(two_n=6, s=1)
     op = build_hamiltonian(spec)
