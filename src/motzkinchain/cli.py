@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -362,8 +363,10 @@ _GLOBAL_FLAGS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The root parser and its subcommands, each carrying the global flags.
+    """The root parser and its subcommands, each carrying the global flags,
+    built once per process.
 
     The root copy of a global flag carries the real default; the subcommands
     take theirs from one parent parser whose copies default to SUPPRESS, so
@@ -469,6 +472,11 @@ def main(argv: list[str] | None = None) -> int:
         # color counts enter the float formulas through sqrt(s) and log(s)
         if getattr(args, "s", 1) > sys.float_info.max:
             raise InvalidSpec("--s exceeds the float range")
+        if args.out is not None:
+            # reproduce writes into the directory --out names, the others to the file
+            directory = args.out if args.command == "reproduce" else os.path.dirname(args.out)
+            if not os.path.isdir(directory or "."):
+                raise InvalidSpec(f"--out: no directory {directory!r}")
         if args.command == "field" and args.m_max is None:
             args.m_max = min(2 * args.n, 100) if args.n >= 1 else None
         return args.handler(args)

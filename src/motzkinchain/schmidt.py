@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .walks import EXACT_LIMIT, CountTable, _LogTerms, halfwalk_term_row
+from .walks import CountTable
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -83,9 +83,8 @@ def schmidt_spectrum(table: CountTable) -> SchmidtSpectrum:
 
 def entropy_exact(n: int, s: int) -> float:
     """Entanglement entropy ``-sum_m s**m p_m ln p_m`` across the middle cut,
-    from :meth:`CountTable.build`: exact counts up to ``n = EXACT_LIMIT`` and
-    beyond that the log-space rows near the top Schmidt weight, a superset of
-    the rows kept here.
+    from the ratio row of :meth:`CountTable.build`, over the heights whose
+    weight lies within ``TRUNCATION_LOG_CUTOFF`` of the top.
     """
     table = CountTable.build(n, s)
     logw = table.log_schmidt_weight()
@@ -143,15 +142,23 @@ def saddle_point(n: int, m: int, s: int) -> float:
 
 
 def halfwalk_term_argmax(n: int, m: int, s: int) -> int:
-    """Index ``i`` (number of matched pairs) maximizing the summand of
-    ``M(n,m,s)``; the saddle-point formula approximates this."""
+    """Index ``i`` (number of matched pairs) of the first largest summand of
+    ``M(n,m,s)``; the saddle-point formula approximates this.
+
+    With ``a = n - m`` the term ratio ``t(i+1)/t(i) = s (a-2i)(a-2i-1) /
+    ((i+1)(i+m+2))`` falls in ``i``, so the answer is the first ``i`` with
+    ``s (a-2i)(a-2i-1) <= (i+1)(i+m+2)``, found by exact integer bisection.
+    """
     if not 0 <= m <= n or s < 1:
         raise InvalidSpec("need 0 <= m <= n and s >= 1")
-    if n <= EXACT_LIMIT:
-        terms = halfwalk_term_row(n, m, s)
-        return max(range(len(terms)), key=terms.__getitem__)
-    pairs = np.arange((n - m) // 2 + 1)
-    return int(np.argmax(_LogTerms(n, s).points(np.full(pairs.size, m), pairs)))
+    a, lo, hi = n - m, 0, (n - m) // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if s * (a - 2 * mid) * (a - 2 * mid - 1) <= (mid + 1) * (mid + m + 2):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def expected_mid_height(n: int) -> tuple[float, float]:

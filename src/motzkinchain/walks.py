@@ -12,34 +12,23 @@ token text writes the same letters as ``0``, ``dc`` and ``uc``.
 
 Counts are exact arbitrary-precision integers, a row at a time from an O(n)
 recurrence.  ``CountTable.build``, the input to the Schmidt-spectrum module,
-reads those rows up to ``EXACT_LIMIT`` and past it natural logs built on
-``gammaln``: only the rows near the top Schmidt weight, each from the window
-of its terms near the peak, so that what is left out lies far below one ulp
-of each sum.
+runs the same recurrence in float ratios and keeps natural logs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, InvalidSpec, SizeExceeded
 
-EXACT_LIMIT = 300
 ENUMERATION_GUARD = 10**8
-# entries per chunk of log-space summands (256 KiB), so a table's memory is O(n)
-_TERM_CHUNK = 2**15
-# row entries a log-space table may sum (n**2/4 in full; 4.7e9 in the top rows at n = 10**6, s = 2)
-LOG_WORK_LIMIT = 3 * 10**10
-# past EXACT_LIMIT: rows within _TOP_CUT of the top Schmidt weight (entropy_exact
-# keeps those within 80), each from a window _TOP_DEPTH below its peak
-_TOP_CUT = 90.0
-_TOP_DEPTH = 100.0
+# the largest half-chain a count table takes: about 1 s and 115 MB at the limit
+TABLE_LIMIT = 3 * 10**6
 
 
 def encode_walk(walk: Sequence[int], s: int) -> str:
@@ -142,8 +131,8 @@ def ballot_count(length: int, m: int) -> int:
 
 def halfwalk_term_row(n: int, m: int, s: int) -> list[int]:
     """The summands ``C(n, 2i+m) * ballot(2i+m, m) * s**i`` of ``M(n, m, s)``,
-    one per number ``i = 0..(n-m)//2`` of matched pairs; the exact twin of
-    :class:`_LogTerms`."""
+    one per number ``i = 0..(n-m)//2`` of matched pairs; they rise to one peak
+    and fall (see :func:`motzkinchain.schmidt.halfwalk_term_argmax`)."""
     return [
         binomial(n, 2 * i + m) * ballot_count(2 * i + m, m) * s**i
         for i in range((n - m) // 2 + 1)
@@ -227,180 +216,27 @@ def dyck_area_total(length: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Log-space counting
-# ---------------------------------------------------------------------------
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    if values.size == 0:
-        return -math.inf
-    peak = float(np.max(values))
-    if peak == -math.inf:
-        return -math.inf
-    return peak + math.log(float(np.sum(np.exp(values - peak))))
-
-
-@lru_cache(maxsize=1)
-def _log_factorials(n: int) -> np.ndarray:
-    """``log(k!)`` for ``k = 0..n`` from ``gammaln``, kept for the last ``n``."""
-    return gammaln(np.arange(n + 1, dtype=float) + 1.0)
-
-
-def _check_log_work(entries: int) -> None:
-    if entries > LOG_WORK_LIMIT:
-        raise SizeExceeded(f"{entries:.3g} log-space row entries exceed LOG_WORK_LIMIT")
-
-
-class _LogTerms:
-    """The summands of ``log M(n, m, s)``, ``k = 2i+m``, ``j = i+m``, ``i`` pairs:
-
-        log C(n, k) + (log k! - log i! - log j!) + log((m+1)/(j+1)) + i log s
-
-    (the ballot difference folded into ``(m+1)/(j+1)``, so nothing cancels),
-    -inf past a row's last pair count ``(n-m)//2``."""
-
-    def __init__(self, n: int, s: int):
-        self.n, self.s = n, s
-        self.fact = _log_factorials(n)
-        self.up = np.concatenate([self.fact, np.zeros(n + 1)])
-        # zeros above n and +inf below 0 make a term past its row's end -inf
-        below = np.concatenate([self.fact[::-1], np.full(n + 1, math.inf)])
-        self.log_binom = self.fact[n] - self.up - below
-        self.plus_one = np.arange(1.0, 2 * n + 3)
-        self.pair_weight = np.arange(n // 2 + 1.0) * math.log(s)
-
-    @staticmethod
-    def _fill(out, part, log_binom_k, fact_k, fact_i, fact_j, m_plus_one, j_plus_one, weight_i):
-        # operands are strided views or gathered arrays: the same float ops either way
-        np.copyto(out, log_binom_k)
-        np.subtract(fact_k, fact_i, out=part)
-        out += np.subtract(part, fact_j, out=part)
-        out += np.log(np.divide(m_plus_one, j_plus_one, out=part), out=part)
-        out += weight_i
-        return out
-
-    def block(self, m0: int, c0: int, out: np.ndarray, part: np.ndarray) -> np.ndarray:
-        """Rows ``m0, m0+1, ...`` and pair counts ``c0, c0+1, ...`` into ``out``."""
-        (g, w), step = out.shape, self.up.strides[0]
-
-        def view(table, start, col_step):
-            return np.ndarray((g, w), float, table, start * step, (step, col_step * step))
-
-        k0, j0 = m0 + 2 * c0, m0 + c0
-        return self._fill(
-            out, part, view(self.log_binom, k0, 2), view(self.up, k0, 2), self.fact[c0 : c0 + w],
-            view(self.up, j0, 1), self.plus_one[m0 : m0 + g, None], view(self.plus_one, j0, 1),
-            self.pair_weight[c0 : c0 + w],
-        )
-
-    def points(self, m: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """The terms at the index pairs ``(m, i)``."""
-        k, j = m + 2 * i, m + i
-        return self._fill(
-            np.empty(m.shape), np.empty(m.shape), self.log_binom[k], self.up[k], self.fact[i],
-            self.up[j], self.plus_one[m], self.plus_one[j], self.pair_weight[i],
-        )
-
-    def peaks(self, m: np.ndarray, last: np.ndarray) -> np.ndarray:
-        """Each row's peak: ``t(i+1)/t(i) = s (a-2i)(a-2i-1) / ((i+1)(i+m+2))``,
-        ``a = n-m``, falls in ``i``, and ``t(i+1) <= t(i)`` over ``s`` reads
-        ``A i^2 - B i + C <= 0``, first met at ``2C / (B + sqrt(B^2 - 4AC))`` rounded up."""
-        a, inv_s = self.n - m, math.exp(-math.log(self.s))
-        b = 2.0 * (2.0 * a - 1.0) + (m + 3.0) * inv_s
-        c = a * (a - 1.0) - (m + 2.0) * inv_s
-        root = 2.0 * c / (b + np.sqrt(b * b - 4.0 * (4.0 - inv_s) * c))
-        return np.clip(np.ceil(root), 0, last).astype(np.int64)
-
-
-def _row_windows(terms: _LogTerms, depth: float, cut: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """The first row to build and the first and last pair count of each built
-    row's window (the terms within ``depth`` of its peak).  The rows built run
-    from the first to the last whose upper-bound weight ``m log s + 2 (peak
-    term + log length)`` lies within ``cut`` of the largest lower bound
-    ``m log s + 2 peak term``."""
-    m = np.arange(terms.n + 1)
-    last = (terms.n - m) // 2
-    peak = terms.peaks(m, last)
-    top = terms.points(m, peak)
-    weight = m * math.log(terms.s) + 2.0 * top
-    upper = weight + 2.0 * np.log(last + 1.0)
-    kept = np.flatnonzero(upper >= weight.max() - cut)
-    rows = slice(int(kept[0]), int(kept[-1]) + 1)
-    # how far each window reaches from the peak, down (first half) and up
-    count = rows.stop - rows.start
-    m, floor = np.tile(m[rows], 2), np.tile(top[rows] - depth, 2)
-    base, side = np.tile(peak[rows], 2), np.repeat([-1, 1], count)
-    hi = np.concatenate([peak[rows], last[rows] - peak[rows]])
-    # a side whose far end reaches the floor reaches it throughout
-    lo = np.where(terms.points(m, base + side * hi) >= floor, hi, 0)
-    active = np.flatnonzero(lo < hi)
-    while active.size:
-        a, b = lo[active], hi[active]
-        mid = (a + b + 1) // 2
-        reach = terms.points(m[active], base[active] + side[active] * mid) >= floor[active]
-        lo[active], hi[active] = np.where(reach, mid, a), np.where(reach, b, mid - 1)
-        active = active[lo[active] < hi[active]]
-    return rows.start, base[:count] - lo[:count], base[count:] + lo[count:]
-
-
-def _log_halfwalk(n: int, s: int, depth: float, cut: float) -> tuple[np.ndarray, float]:
-    """``log M(n, m, s)`` for ``m = 0..n`` (-inf for rows not built) and the
-    log full-walk count, from the windows of :func:`_row_windows`, built for
-    runs of rows over the union of their windows.
-
-    Each row is summed once as a full-length 1-D row, zero outside the built
-    columns, so ``np.add.reduce`` takes the full row's pairwise tree.  At
-    ``depth`` and ``cut`` past exp's underflow every term and row left out is
-    an exact 0 and the result has every bit of the full sums.  Otherwise a
-    term outside a window lies below ``exp(-depth)`` of its row's peak and a
-    row left out below ``exp(-cut)`` of the top weight; at ``_TOP_DEPTH`` and
-    ``_TOP_CUT`` what is omitted is under ``(n+1) exp(-90)`` relative, far below
-    one ulp, so a bit can move only where a partial sum lies that close to a
-    rounding boundary."""
-    terms = _LogTerms(n, s)
-    r, first, final = _row_windows(terms, depth, cut)
-    m_lo = r
-    lengths = (n - np.arange(r, r + first.size)) // 2 + 1
-    _check_log_work(int(lengths.sum()))
-    padded = np.zeros(max(4 * _TERM_CHUNK, n // 2 + 1))
-    out = np.full(n + 1, -math.inf)
-    while r < m_lo + first.size:
-        # the rows from r whose union window fits a chunk and whose rows fit `padded`
-        k = r - m_lo
-        length = int(lengths[k])
-        cap = min(first.size - k, padded.size // length)
-        cap = min(cap, max(1, _TERM_CHUNK // int(final[k] - first[k] + 1)))
-        c0 = np.minimum.accumulate(first[k : k + cap])
-        c1 = np.maximum.accumulate(final[k : k + cap]) + 1
-        g = max(1, int(np.count_nonzero(np.arange(1, cap + 1) * (c1 - c0) <= _TERM_CHUNK)))
-        c0, c1 = int(c0[g - 1]), int(c1[g - 1])
-        grid = padded[: g * length].reshape(g, length)
-        block = terms.block(r, c0, grid[:, c0:c1], np.empty((g, c1 - c0)))
-        peaks = block.max(axis=1)
-        block -= peaks[:, None]
-        # exp is an exact 0 below -745.2, at -1e4 as at -inf
-        np.exp(np.maximum(block, -1e4, out=block), out=block)
-        for row, size, peak in zip(grid, lengths[k : k + g].tolist(), peaks.tolist()):
-            out[r] = peak + math.log(float(np.add.reduce(row[:size])))
-            r += 1
-        block[...] = 0.0
-    return out, _logsumexp(np.arange(n + 1) * math.log(s) + 2.0 * out)
-
-
-# ---------------------------------------------------------------------------
 # CountTable
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class CountTable:
-    """``log M(n, m, s)`` for ``m = 0..n`` and the log full-walk count
-    ``log sum_m s**m M(n, m, s)**2`` of the doubled chain.
+    """``log M(n, m, s) - R`` for ``m = 0..n`` and ``log sum_m s**m M(n, m, s)**2
+    - 2R``, the log full-walk count of the doubled chain, both relative to one
+    reference ``R = log c_0``.  Every reader takes differences (a log
+    probability is ``2 log_halfwalk - log_total``), so ``R`` cancels.
 
-    Exact integer rows up to ``EXACT_LIMIT``; past it the log-space rows
-    within ``_TOP_CUT`` of the top Schmidt weight, each from a window
-    ``_TOP_DEPTH`` deep, and -inf elsewhere: what is left out is under
-    ``(n+1) exp(-90)`` relative, far below one ulp (see :func:`_log_halfwalk`).
+    The rows run :func:`halfwalk_row`'s recurrence in the float ratios
+    ``q_j = sqrt(s) c_j / c_{j-1}``: ``q_j = (n-j+1) / ((n+j+1) q_{j+1} +
+    j/sqrt(s))`` from ``q_{n+1} = 0``, a backward three-term recurrence taken
+    as a continued fraction.  Every term is positive, so an error in
+    ``q_{j+1}`` reaches ``q_j`` damped (Gautschi, SIAM Review 9, 1967).  Then
+    ``log(s**(m/2) c_m / c_0)`` sums ``log q_j`` over ``j = 1..m``, and
+    ``log M = log c_m + log1p(-q_{m+1} q_{m+2})``.  The scaled coefficients
+    ``s**(j/2) c_j`` are symmetric about ``j = 0`` and peak there, so the rows
+    near the top Schmidt weight, ``m`` of order ``sqrt(n)``, sum ratios close
+    to one over short runs, and no value of size ``n log n`` is rounded.
     """
 
     n: int
@@ -414,11 +250,23 @@ class CountTable:
             raise DomainError("n must be >= 0")
         if s < 1:
             raise InvalidSpec("color count s must be >= 1")
-        if n > EXACT_LIMIT:
-            return cls(n, s, *_log_halfwalk(n, s, _TOP_DEPTH, _TOP_CUT))
-        counts = halfwalk_row(n, s)
-        logs = np.array([math.log(c) if c else -math.inf for c in counts], dtype=float)
-        return cls(n, s, logs, math.log(sum(s**m * c * c for m, c in enumerate(counts))))
+        if s > sys.float_info.max:
+            raise InvalidSpec("color count s exceeds the float range")
+        if n > TABLE_LIMIT:
+            raise SizeExceeded(f"n = {n} exceeds TABLE_LIMIT = {TABLE_LIMIT:.0e}")
+        # q[j] for j = 1..n; q[0] = 1 starts the sum, q[n+1] = q[n+2] = 0 end the rows
+        q = np.zeros(n + 3)
+        q[0] = 1.0
+        ratio, root = 0.0, math.sqrt(s)
+        for j in range(n, 0, -1):
+            ratio = (n - j + 1) / ((n + j + 1) * ratio + j / root)
+            q[j] = ratio
+        log_halfwalk = np.cumsum(np.log(q[: n + 1]))
+        log_halfwalk -= np.arange(n + 1) * (0.5 * math.log(s))
+        log_halfwalk += np.log1p(-q[1 : n + 2] * q[2 : n + 3])
+        weight = np.arange(n + 1) * math.log(s) + 2.0 * log_halfwalk
+        peak = float(weight.max())
+        return cls(n, s, log_halfwalk, peak + math.log(float(np.sum(np.exp(weight - peak)))))
 
     def log_schmidt_weight(self) -> np.ndarray:
         """Log of ``s**m * p_m`` for each ``m``; the weights sum to one."""

@@ -2,12 +2,14 @@
 
 Everything here works on plain digit tuples with its own stack scans, so
 the expected values it produces do not depend on the library code under
-test.  The one exception, ``full_log_table``, keeps the library's all-row
-log-space table as the oracle of the rows ``CountTable.build`` keeps.
+test.  The one exception, ``exact_entropy_and_mean_height``, reads the
+library's exact integer rows (``walks.halfwalk_row``, itself checked against
+``halfwalk_table`` here) and takes their logs in ``decimal``.
 Digit convention, shared with the library's walks: 0 is a flat site, 1..s
 are open letters by color, s+1..2s are the matching close letters.
 """
 
+import decimal
 import math
 from itertools import product
 
@@ -122,8 +124,32 @@ def halfwalk_table(max_length, s):
     return [row[: L + 1] for L, row in enumerate(table)]
 
 
-def full_log_table(n, s):
-    """Every row of ``log M(n, m, s)``, each from a window 750 below its peak,
-    past exp's underflow at -745.2: the bits of the full per-height sums,
-    against which ``CountTable.build``'s rows near the top weight are checked."""
-    return walks.CountTable(n, s, *walks._log_halfwalk(n, s, 750.0, math.inf))
+def exact_entropy_and_mean_height(n, s):
+    """The middle-cut entropy ``-sum_m s**m p_m ln p_m`` and the mean midpoint
+    height ``sum_m m s**m p_m``, as 45-digit decimals.
+
+    The weights ``s**m M(n, m, s)**2`` are exact integers.  A row more than 200
+    bits below the heaviest, judged by bit length before squaring, is skipped
+    (each such row weighs below 2**-197 of the total); the rest are cut to
+    about 170 bits by one common shift before the logs are taken.
+    """
+    row = walks.halfwalk_row(n, s)
+    log2_s = math.log2(s)
+    bits = [m * log2_s + 2 * count.bit_length() for m, count in enumerate(row)]
+    top = max(bits)
+    shift = max(0, int(top) - 170)
+    weights = {
+        m: (s**m * count * count) >> shift
+        for m, count in enumerate(row)
+        if bits[m] > top - 200
+    }
+    with decimal.localcontext(decimal.Context(prec=45)):
+        total = decimal.Decimal(sum(weights.values()))
+        ln_s = decimal.Decimal(s).ln()
+        entropy = mean = decimal.Decimal(0)
+        for m, weight in weights.items():
+            if weight:
+                share = weight / total
+                entropy -= share * (share.ln() - m * ln_s)
+                mean += m * share
+        return +entropy, +mean

@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
@@ -111,42 +112,55 @@ def test_entropy_out_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("s", "size", "digest"),
     [
-        (1, 226, "b1f5a76a4910bbb6c88ffc5e09617b1f3ee940876b8951f694b42a73423a96a6"),
-        (2, 228, "b381f15ee7e39b2f472161b8378408b6efcc12103c935bcbd289e225df647e7e"),
-        (3, 228, "35245cc5ef355265b2f6f3b6161cfff705e31ec4ffac0933a7556dd30892b2fd"),
+        (1, 226, "48d745c603a128b0c49b811cb92dac779a12c9bb9a264debd81e78393d258eef"),
+        (2, 229, "e3f327fa2c88f6a7096fdb156277f53ff0f122408031f65e9e0c41bce7b0fe58"),
+        (3, 229, "b6071a15492e0575bb67e6370f03ab70fcbd3d386708e18e440ea7d04887a3a4"),
     ],
 )
 def test_entropy_bytes_are_stable(s, size, digest, capsys):
-    # recorded from the log-space kernel that evaluated every term with fresh
-    # temporaries; 1999 and 5000 take the log-space route
+    # recorded from the ratio row of CountTable.build
     assert main(["entropy", "--s", str(s), "--n-list", "301,1999,5000"]) == EXIT_OK
     out = capsys.readouterr().out
     assert len(out) == size
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("s", [1, 2, 3])
-def test_entropy_log_mode_prints_the_auto_route_bytes(s, capsys, monkeypatch):
-    # the all-row log table, every row of the full sums, against the default
-    # route, past the exact limit only the rows and terms that carry weight
-    from conftest import full_log_table
+def test_entropy_past_the_table_limit_exits_before_any_array(capsys):
     from motzkinchain import walks
 
-    sizes = "301,1999,5000"
-    assert main(["entropy", "--s", str(s), "--n-list", sizes]) == EXIT_OK
-    auto = capsys.readouterr().out
-    monkeypatch.setattr(walks.CountTable, "build", classmethod(lambda cls, n, s: full_log_table(n, s)))
-    assert main(["entropy", "--s", str(s), "--n-list", sizes]) == EXIT_OK
-    assert capsys.readouterr().out == auto
+    tracemalloc.start()
+    try:
+        code = main(["entropy", "--s", "2", "--n-list", str(walks.TABLE_LIMIT + 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_VALIDATION
+    assert "TABLE_LIMIT" in capsys.readouterr().err
+    # one float row at the limit would take 24 MB
+    assert peak < 2**20
 
 
-def test_entropy_past_the_work_limit_exits_with_a_validation_error(capsys, monkeypatch):
-    from motzkinchain import walks
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--s", "1", "--n-list", "10", "--out", "{missing}/x.csv"],
+        ["reproduce", "--tag", "entropy_s1", "--out", "{missing}"],
+    ],
+    ids=["entropy", "reproduce"],
+)
+def test_out_in_a_missing_directory_exits_before_computing(argv, tmp_path, capsys, monkeypatch):
+    from motzkinchain import schmidt
 
-    # the rows near the top weight at n = 5000, s = 2 sum about 1.5e6 entries
-    monkeypatch.setattr(walks, "LOG_WORK_LIMIT", 10**6)
-    assert main(["entropy", "--s", "2", "--n-list", "5000"]) == EXIT_VALIDATION
-    assert "LOG_WORK_LIMIT" in capsys.readouterr().err
+    def no_entropy(n, s):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(schmidt, "entropy_exact", no_entropy)
+    missing = tmp_path / "missing"
+    assert main([arg.format(missing=missing) for arg in argv]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out") and captured.err.count("\n") == 1
+    assert not missing.exists()
 
 
 def test_write_text_atomic_overwrites_in_place(tmp_path):
@@ -564,13 +578,13 @@ def test_reproduce_density_figure(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("tag", "size", "digest"),
     [
-        ("entropy_s1", 1605, "7d3a34a3706cec4348ae5f33759e0ad2f8eb4cc018162f26677b5e4e6011bb23"),
-        ("entropy_grid", 6421, "56af905138fcdbe6ffcfbce9f68cad5ee5f77034881145526683752ef9943111"),
-        ("ratio", 608, "a3fee1a73b311c15684c0e87fb61a268ab0d56e62f13bddc29e8928dc939beb6"),
+        ("entropy_s1", 1606, "a8668f1a96266168016097f0442404cf513a26ce0038c1150c4564aef6d2dce5"),
+        ("entropy_grid", 6408, "b5677d648ff7ce84427c99851ca5114ac0f1781a9d4fecc2b705e3dc0f2ad21a"),
+        ("ratio", 606, "4dd66ed53a6a485138d15ae4dc0d78b6ea7e5dbaded28cab487f600849a0cb79"),
     ],
 )
 def test_reproduce_entropy_bytes_are_stable(tag, size, digest, tmp_path, capsys):
-    # recorded from the top rows that a second sum over upper bounds certified
+    # recorded from the ratio row of CountTable.build
     assert main(["reproduce", "--tag", tag, "--out", str(tmp_path)]) == EXIT_OK
     capsys.readouterr()
     data = (tmp_path / f"{tag}.csv").read_bytes()

@@ -7,12 +7,13 @@ force runs at small sizes, plus closed-form and asymptotic checks.
 
 import hashlib
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import full_log_table, iter_matched_digit_strings
+from conftest import exact_entropy_and_mean_height, iter_matched_digit_strings
 from motzkinchain.errors import InvalidSpec
 from motzkinchain.schmidt import (
     EULER_GAMMA,
@@ -27,7 +28,7 @@ from motzkinchain.schmidt import (
     schmidt_spectrum,
     sigma,
 )
-from motzkinchain.walks import CountTable, full_walk_count, halfwalk_row
+from motzkinchain.walks import CountTable, full_walk_count, halfwalk_row, halfwalk_term_row
 
 
 def schmidt_weight_argmax(table):
@@ -85,6 +86,7 @@ def test_alpha_peak_values():
         (alpha_peak, (10**400,)),
         (entropy_asymptotic, (100, 10**400)),
         (saddle_point, (100, 4, 10**400)),
+        (entropy_exact, (400, 10**400)),
     ],
 )
 def test_color_count_beyond_the_float_range_is_invalid(function, args):
@@ -158,6 +160,15 @@ def test_entropy_matches_brute_force(n, s):
     assert entropy_exact(n, s) == pytest.approx(brute_entropy_nats(n, s), abs=1e-10)
 
 
+ORACLE_CASES = [(n, s) for n in (301, 1000, 3000, 10**4) for s in (1, 2, 3, 7)] + [(1000, 10**6)]
+
+
+@pytest.mark.parametrize(("n", "s"), ORACLE_CASES)
+def test_entropy_is_within_5e_14_of_the_exact_value(n, s):
+    exact, _ = exact_entropy_and_mean_height(n, s)
+    assert abs(Decimal(entropy_exact(n, s)) / exact - 1) < Decimal("5e-14")
+
+
 # ---------------------------------------------------------------------------
 # Entropy, asymptotic
 # ---------------------------------------------------------------------------
@@ -221,7 +232,6 @@ def test_saddle_point_flat_sector():
 
 
 def test_saddle_point_tracks_term_argmax():
-    # 128 was recorded from the per-height log-space loop the chunked term rows replaced
     assert halfwalk_term_argmax(400, 40, 2) == 128
     assert abs(halfwalk_term_argmax(400, 40, 2) - saddle_point(400, 40, 2)) <= 2
 
@@ -229,17 +239,16 @@ def test_saddle_point_tracks_term_argmax():
 @pytest.mark.parametrize(
     ("n", "s", "digest"),
     [
-        (301, 1, "402e4249600651684d5b28e7707e432f84f203f88d76103044fa8ff0205f6b47"),
-        (301, 2, "6f07a3c2fb45ac3f2abbf0909864cc413660c962ba7d9a1386583378b63fa7c3"),
-        (301, 3, "ae57329beb94b2381b545a0e514aa8176dabed62d3c531a914070803d11720af"),
+        (301, 1, "42064565382fb19b4c76cb14ac35e49ef22cee7411021240bfb3d9c81efb4815"),
+        (301, 2, "eeff55f503d904416be4c6c4f46a382321f8ea8f7a78a6536122ae935eb4e15a"),
+        (301, 3, "e309feae605e345da0a13658169c5ee25e238f42ad497023cf0e874c4bbac956"),
         (1999, 1, "f7a90f3b7acc937a129df7a4a775e5e1dc5e1c5a5f606761c44dd5536699d7ab"),
-        (1999, 2, "aa3a9689cb4e9710d70f148eba08f5e55ebaf5235e45bfc6d4f2fbd98fb75dda"),
-        (1999, 3, "65b96cfdc5a93e67d414c208e0f1b90ee4e8cb73f8dd45b754b85372b8cac891"),
+        (1999, 2, "e090351acf575e96394626c31c41822d08191a036525dcd35999260f38834dd1"),
+        (1999, 3, "cea86f86ff82f81055deda0544ce7c094834ad37bf65c7df8a0807a84c5da1de"),
     ],
 )
 def test_term_argmax_is_stable_at_every_height(n, s, digest):
-    # recorded from the log-space kernel that evaluated every term with fresh
-    # temporaries; the SHA-256 of the list of argmaxes over m = 0..n
+    # the SHA-256 of the list of argmaxes over m = 0..n, from the integer bisection
     argmaxes = [halfwalk_term_argmax(n, m, s) for m in range(n + 1)]
     assert hashlib.sha256(repr(argmaxes).encode()).hexdigest() == digest
 
@@ -249,9 +258,35 @@ def test_term_argmax_is_stable_at_every_height(n, s, digest):
     [(400, 500, 1), (400, -1, 1), (400, 40, 0), (100, 101, 1), (100, -1, 1), (100, 4, 0)],
 )
 def test_term_argmax_rejects_heights_outside_the_walk_and_bad_colors(n, m, s):
-    # n = 400 takes the log-space branch, n = 100 the exact one
     with pytest.raises(InvalidSpec):
         halfwalk_term_argmax(n, m, s)
+
+
+def first_term_argmax(n, m, s):
+    terms = halfwalk_term_row(n, m, s)
+    return terms.index(max(terms))
+
+
+# heights where two largest summands are exactly equal
+TIED_HEIGHTS = [
+    (301, 130, 1), (301, 271, 2), (301, 95, 3), (301, 240, 3),
+    (1999, 498, 2), (1999, 798, 3), (1999, 1468, 3), (1999, 1773, 3),
+]
+
+
+@pytest.mark.parametrize(("n", "m", "s"), TIED_HEIGHTS)
+def test_term_argmax_picks_the_first_of_two_tied_terms(n, m, s):
+    terms = halfwalk_term_row(n, m, s)
+    i = halfwalk_term_argmax(n, m, s)
+    assert terms[i] == terms[i + 1] == max(terms)
+    assert i == first_term_argmax(n, m, s)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 7])
+def test_term_argmax_is_the_first_exact_argmax_at_small_sizes(s):
+    for n in range(121):
+        for m in range(n + 1):
+            assert halfwalk_term_argmax(n, m, s) == first_term_argmax(n, m, s), (n, m)
 
 
 def test_weight_peak_near_predicted_height():
@@ -277,11 +312,9 @@ def test_expected_mid_height_asymptotic_form():
 
 
 @pytest.mark.parametrize("n", [301, 5000])
-def test_expected_mid_height_has_the_bits_of_the_full_table(n):
-    # the rows near the top weight against every row, past the exact limit
-    logw = full_log_table(n, 1).log_schmidt_weight()
-    w = np.exp(logw - np.max(logw))
-    assert expected_mid_height(n)[0] == float(np.sum(np.arange(n + 1) * w) / np.sum(w))
+def test_expected_mid_height_matches_the_exact_mean(n):
+    _, exact = exact_entropy_and_mean_height(n, 1)
+    assert abs(Decimal(expected_mid_height(n)[0]) / exact - 1) < Decimal("5e-14")
 
 
 def test_expected_mid_height_ratio_converges():

@@ -8,17 +8,16 @@ checked independently (math.comb, explicit DP recurrences).
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from conftest import (
     all_digit_strings,
     digits_form_walk,
-    full_log_table,
     halfwalk_table,
     heights_of_digits,
     is_dyck,
@@ -26,7 +25,6 @@ from conftest import (
 )
 from motzkinchain import walks
 from motzkinchain.errors import DomainError, InvalidSpec, SizeExceeded
-from motzkinchain.schmidt import TRUNCATION_LOG_CUTOFF, entropy_exact
 from motzkinchain.walks import (
     CountTable,
     ballot_count,
@@ -374,67 +372,19 @@ def test_walk_area_on_digits():
 
 
 # ---------------------------------------------------------------------------
-# Log-space counting
+# CountTable
 # ---------------------------------------------------------------------------
-
-
-def log_binomial(n, k):
-    """Natural log of C(n, k) from ``gammaln`` log-factorials; -inf outside range."""
-    n_arr, k_arr = np.broadcast_arrays(np.asarray(n), np.asarray(k))
-    table = gammaln(np.arange(int(np.max(n_arr, initial=1)) + 1, dtype=float) + 1.0)
-    out = np.full(n_arr.shape, -math.inf)
-    ok = (k_arr >= 0) & (k_arr <= n_arr)
-    nn, kk = n_arr[ok], k_arr[ok]
-    out[ok] = table[nn] - table[kk] - table[nn - kk]
-    if np.isscalar(n) and np.isscalar(k):
-        return float(out)
-    return out
-
-
-def per_height_log_terms(n, m, s):
-    """The summands of ``log M(n, m, s)``, one per pair count, for one height."""
-    i = np.arange((n - m) // 2 + 1)
-    return (
-        log_binomial(n, 2 * i + m)
-        + log_binomial(2 * i + m, i)
-        + np.log((m + 1.0) / (i + m + 1.0))
-        + i * math.log(s)
-    )
-
-
-def per_height_log_count(n, m, s):
-    """The per-height loop the chunked log-space kernel replaced: one term
-    array and one log-sum-exp for each height ``m``."""
-    terms = per_height_log_terms(n, m, s)
-    peak = float(np.max(terms))
-    return peak + math.log(float(np.sum(np.exp(terms - peak))))
-
-
-def test_log_binomial_scalar_and_array():
-    assert log_binomial(10, 3) == pytest.approx(math.log(math.comb(10, 3)), rel=1e-14)
-    n = np.arange(6)
-    out = log_binomial(n, 2)
-    for i in range(6):
-        expected = math.log(math.comb(i, 2)) if i >= 2 else -math.inf
-        assert out[i] == pytest.approx(expected, rel=1e-14) or (
-            out[i] == -math.inf and expected == -math.inf
-        )
-    assert log_binomial(5, 7) == -math.inf
-    assert log_binomial(5, -1) == -math.inf
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_log_count_matches_exact(s):
+    # the rows are relative to one reference, so each is read against row 0
     for n in (5, 40, 120):
-        logs = full_log_table(n, s).log_halfwalk
+        logs = CountTable.build(n, s).log_halfwalk
+        zero = math.log(colored_halfwalk_count(n, 0, s))
         for m in range(0, n + 1, max(1, n // 7)):
-            exact = colored_halfwalk_count(n, m, s)
-            assert logs[m] == pytest.approx(math.log(exact), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# CountTable
-# ---------------------------------------------------------------------------
+            exact = math.log(colored_halfwalk_count(n, m, s)) - zero
+            assert logs[m] - logs[0] == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
 def test_count_table_probabilities_one_color():
@@ -465,198 +415,23 @@ def test_count_table_weights_normalize(s):
     s=st.integers(min_value=1, max_value=4),
 )
 @settings(max_examples=40, deadline=None)
-def test_count_table_log_mode_matches_exact_mode(n, s):
-    exact = CountTable.build(n, s)
-    logged = full_log_table(n, s)
-    np.testing.assert_allclose(
-        logged.log_halfwalk, exact.log_halfwalk, rtol=1e-11, atol=1e-11
-    )
-    assert logged.log_total == pytest.approx(exact.log_total, rel=1e-11)
-
-
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 301, 302, 1999, 5000])
-def test_log_table_matches_per_height_loop_bit_for_bit(n, s):
-    # even and odd n; n <= 3 fits one chunk, 301 and 302 take two, 1999 and
-    # 5000 take 33 and 198
-    table = full_log_table(n, s)
-    logs = np.array([per_height_log_count(n, m, s) for m in range(n + 1)])
-    weights = np.arange(n + 1) * math.log(s) + 2.0 * logs
-    peak = float(np.max(weights))
-    log_total = peak + math.log(float(np.sum(np.exp(weights - peak))))
-    assert np.array_equal(table.log_halfwalk, logs)
-    assert table.log_total == log_total
+def test_log_schmidt_weight_matches_exact_fractions(n, s):
+    total = full_walk_count(n, s)
+    exact = [float(Fraction(s**m * c * c, total)) for m, c in enumerate(halfwalk_row(n, s))]
+    weights = np.exp(CountTable.build(n, s).log_schmidt_weight())
+    np.testing.assert_allclose(weights, exact, rtol=1e-12)
 
 
 def test_log_table_memory_stays_linear():
-    # one (n+1) x (n/2+1) term grid would take about 100 MB at n = 5000
+    # a handful of float rows of n + 3 entries, 0.8 MB each at n = 10**5
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        full_log_table(5000, 2)
+        CountTable.build(10**5, 2)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
-
-
-@pytest.mark.parametrize(
-    ("n", "s", "m_start", "m_stop"),
-    [
-        (1999, 2, 0, 2000),  # every row, 33 chunks
-        (1999, 2, 31, 100),  # one row before the full table's first chunk boundary
-        (5000, 1, 137, 900),  # a mid-range start, several chunks
-        (3001, 10**6, 0, 3002),  # s = 10**6
-        (1000, 3, 999, 1001),  # the last two rows, a single term each
-    ],
-)
-def test_log_terms_match_per_height_terms_bit_for_bit(n, s, m_start, m_stop):
-    # blocks of 64 rows as wide as their first, from pair count 0 and from a
-    # third of the width on, and each row again as gathered points
-    terms = walks._LogTerms(n, s)
-    for m0 in range(m_start, m_stop, 64):
-        g, width = min(64, m_stop - m0), (n - m0) // 2 + 1
-        block = terms.block(m0, 0, np.empty((g, width)), np.empty((g, width)))
-        c0 = width // 3
-        shifted = terms.block(m0, c0, np.empty((g, width - c0)), np.empty((g, width - c0)))
-        assert np.array_equal(shifted, block[:, c0:])
-        for m, row in enumerate(block, m0):
-            expected = per_height_log_terms(n, m, s)
-            padding = np.full(width - expected.size, -math.inf)
-            assert np.array_equal(row, np.concatenate([expected, padding])), m
-            pairs = np.arange(expected.size)
-            assert np.array_equal(terms.points(np.full(pairs.size, m), pairs), expected), m
-
-
-def weighted_table(n, s):
-    """The rows whose Schmidt weight can reach a nonzero float, each from a
-    window past exp's underflow: the full table's bits on every row kept."""
-    return CountTable(n, s, *walks._log_halfwalk(n, s, 750.0, 750.0))
-
-
-WEIGHTED_CASES = [(n, s) for n in (301, 302, 1999, 5000) for s in (1, 2, 3, 4)] + [(3001, 10**6)]
-
-
-@pytest.mark.parametrize(("n", "s"), WEIGHTED_CASES)
-def test_weighted_rows_equal_the_full_table_where_they_carry_weight(n, s):
-    full = full_log_table(n, s)
-    weighted = weighted_table(n, s)
-    kept = np.isfinite(weighted.log_halfwalk)
-    assert np.array_equal(weighted.log_halfwalk[kept], full.log_halfwalk[kept])
-    assert weighted.log_total == full.log_total
-    # a row left out is one whose Schmidt weight was an exact 0 already
-    weight = np.arange(n + 1) * math.log(s) + 2.0 * full.log_halfwalk
-    assert np.all(np.exp(weight[~kept] - weight.max()) == 0.0)
-    if n >= 1999:
-        assert not kept.all()
-
-
-@pytest.mark.parametrize("s", [1, 2, 3])
-@pytest.mark.parametrize("n", [1999, 5000])
-def test_every_term_outside_a_window_rounds_to_zero(n, s):
-    m_lo, first, final = walks._row_windows(walks._LogTerms(n, s), 750.0, math.inf)
-    assert m_lo == 0 and first.size == n + 1
-    for m in range(n + 1):
-        terms = per_height_log_terms(n, m, s)
-        outside = np.ones(terms.size, dtype=bool)
-        outside[first[m] : final[m] + 1] = False
-        assert np.all(terms[outside] < terms.max() - 746.0), m
-
-
-@pytest.mark.parametrize("s", [1, 2, 3])
-@pytest.mark.parametrize("n", [1999, 5000])
-def test_every_term_outside_a_top_window_is_below_the_bound(n, s):
-    # the premise of the top rows' bound: each term outside a window sits at
-    # most 2 exp(-depth) below its row's peak once exp has run
-    depth = walks._TOP_DEPTH
-    m_lo, first, final = walks._row_windows(walks._LogTerms(n, s), depth, walks._TOP_CUT)
-    for m in range(m_lo, m_lo + first.size):
-        terms = per_height_log_terms(n, m, s)
-        outside = np.ones(terms.size, dtype=bool)
-        outside[first[m - m_lo] : final[m - m_lo] + 1] = False
-        assert np.all(np.exp(terms[outside] - terms.max()) <= 2.0 * math.exp(-depth)), m
-
-
-TOP_CASES = [(n, s) for n in (301, 777, 1000, 1999, 3000, 5000, 5001) for s in (1, 2, 3)]
-TOP_CASES += [(1000, 4), (5000, 7), (301, 10**6), (3001, 10**6), (12345, 2), (20000, 3)]
-TOP_CASES += [(10**5, 2), (12345, 1), (3000, 7), (5001, 10)]
-
-
-@pytest.mark.parametrize(("n", "s"), TOP_CASES)
-def test_top_rows_have_the_bits_of_the_full_table(n, s, monkeypatch):
-    full = full_log_table(n, s) if n <= 5001 else weighted_table(n, s)
-    top = CountTable.build(n, s)
-    built = np.isfinite(top.log_halfwalk)
-    assert np.array_equal(top.log_halfwalk[built], full.log_halfwalk[built])
-    assert top.log_total == full.log_total
-    # every row the entropy keeps was built, and the entropy has the same bits
-    logw = full.log_schmidt_weight()
-    assert built[logw >= logw.max() + TRUNCATION_LOG_CUTOFF].all()
-    entropy = entropy_exact(n, s)
-    monkeypatch.setattr(CountTable, "build", classmethod(lambda cls, n, s: full))
-    assert entropy_exact(n, s) == entropy
-
-
-@pytest.mark.parametrize(("n", "s"), TOP_CASES)
-def test_rows_left_out_of_the_top_rows_weigh_below_the_cut(n, s):
-    # the premise of the top rows' bound: the rows left out, each at its
-    # upper-bound weight m log s + 2 (peak term + log length), sum to a
-    # sliver of the top weight
-    terms = walks._LogTerms(n, s)
-    m = np.arange(n + 1)
-    last = (n - m) // 2
-    upper = m * math.log(s) + 2.0 * (terms.points(m, terms.peaks(m, last)) + np.log(last + 1.0))
-    weight = m * math.log(s) + 2.0 * CountTable.build(n, s).log_halfwalk
-    built = np.isfinite(weight)
-    assert np.all(upper[built] >= weight[built])
-    assert np.sum(np.exp(upper[~built] - weight.max())) < 2.0**-60
-
-
-def test_top_rows_count_both_sums_against_the_work_limit(monkeypatch):
-    seen = []
-    monkeypatch.setattr(walks, "_check_log_work", seen.append)
-    summed = []
-    for table in (CountTable.build(5000, 2), weighted_table(5000, 2)):
-        built = np.flatnonzero(np.isfinite(table.log_halfwalk))
-        summed.append(int(np.sum((5000 - built) // 2 + 1)))
-    # each route sums every built row once
-    assert seen == summed
-
-
-def test_top_rows_admit_a_million_before_any_row(monkeypatch):
-    seen = []
-
-    def stop(entries):
-        seen.append(entries)
-        raise SizeExceeded("stop before the rows")
-
-    monkeypatch.setattr(walks, "_check_log_work", stop)
-    with pytest.raises(SizeExceeded):
-        CountTable.build(10**6, 2)
-    assert len(seen) == 1 and seen[0] <= walks.LOG_WORK_LIMIT
-
-
-def test_log_work_guard_refuses_before_any_row(monkeypatch):
-    # the rows near the top weight at n = 5000, s = 2 sum about 1.5e6 entries
-    def no_rows(*args, **kwargs):
-        raise AssertionError("a row was built")
-
-    monkeypatch.setattr(walks, "LOG_WORK_LIMIT", 10**6)
-    monkeypatch.setattr(walks._LogTerms, "block", no_rows)
-    with pytest.raises(SizeExceeded):
-        CountTable.build(5000, 2)
-
-
-def test_log_work_guard_bounds_the_rows_each_route_sums(monkeypatch):
-    # at n = 5000, s = 2 the full table sums 6,255,001 row entries and the
-    # weighted rows about half as many
-    monkeypatch.setattr(walks, "LOG_WORK_LIMIT", 5 * 10**6)
-    with pytest.raises(SizeExceeded):
-        full_log_table(5000, 2)
-    assert np.isfinite(weighted_table(5000, 2).log_total)
-    monkeypatch.setattr(walks, "LOG_WORK_LIMIT", 10**6)
-    with pytest.raises(SizeExceeded):
-        weighted_table(5000, 2)
+    assert peak < 8 * 8 * 10**5
 
 
 def test_count_table_log_mode_reaches_large_sizes():
@@ -669,5 +444,7 @@ def test_count_table_guards():
         CountTable.build(-1, 1)
     with pytest.raises(InvalidSpec):
         CountTable.build(4, 0)
-
-
+    with pytest.raises(InvalidSpec):
+        CountTable.build(400, 10**400)
+    with pytest.raises(SizeExceeded, match="TABLE_LIMIT"):
+        CountTable.build(walks.TABLE_LIMIT + 1, 2)
