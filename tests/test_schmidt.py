@@ -161,6 +161,9 @@ def test_entropy_matches_brute_force(n, s):
 
 
 ORACLE_CASES = [(n, s) for n in (301, 1000, 3000, 10**4) for s in (1, 2, 3, 7)] + [(1000, 10**6)]
+ORACLE_CASES += [(n, s) for n in (302, 1999, 5000) for s in (1, 2, 3, 4)] + [(301, 4), (1000, 4)]
+ORACLE_CASES += [(n, s) for n in (777, 5001) for s in (1, 2, 3)] + [(5000, 7), (5001, 10)]
+ORACLE_CASES += [(12345, 1), (12345, 2), (20000, 3), (301, 10**6), (3001, 10**6)]
 
 
 @pytest.mark.parametrize(("n", "s"), ORACLE_CASES)
@@ -311,7 +314,7 @@ def test_expected_mid_height_asymptotic_form():
     assert asym == pytest.approx(2.0 * math.sqrt(2.0 / (3.0 * math.pi)) * 100.0, rel=1e-13)
 
 
-@pytest.mark.parametrize("n", [301, 5000])
+@pytest.mark.parametrize("n", [301, 5000, 302, 777, 1000, 1999, 3000, 5001, 12345])
 def test_expected_mid_height_matches_the_exact_mean(n):
     _, exact = exact_entropy_and_mean_height(n, 1)
     assert abs(Decimal(expected_mid_height(n)[0]) / exact - 1) < Decimal("5e-14")

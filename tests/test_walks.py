@@ -25,6 +25,7 @@ from conftest import (
 )
 from motzkinchain import walks
 from motzkinchain.errors import DomainError, InvalidSpec, SizeExceeded
+from motzkinchain.schmidt import TRUNCATION_LOG_CUTOFF
 from motzkinchain.walks import (
     CountTable,
     ballot_count,
@@ -420,6 +421,63 @@ def test_log_schmidt_weight_matches_exact_fractions(n, s):
     exact = [float(Fraction(s**m * c * c, total)) for m, c in enumerate(halfwalk_row(n, s))]
     weights = np.exp(CountTable.build(n, s).log_schmidt_weight())
     np.testing.assert_allclose(weights, exact, rtol=1e-12)
+
+
+def heavy_weights(n, s):
+    """The exact integer row of ``M(n, m, s)``, and the weights ``s**m M**2`` of
+    every height within 400 bits of the heaviest, each shifted down by one
+    common ``shift``; the heights left out weigh together below 2**-380 of the
+    total, and every weight kept has at least 270 bits after the shift."""
+    row = halfwalk_row(n, s)
+    log2_s = math.log2(s)
+    bits = [m * log2_s + 2 * count.bit_length() for m, count in enumerate(row)]
+    top = max(bits)
+    shift = max(0, int(top) - 670)
+    weights = {
+        m: (s**m * count * count) >> shift
+        for m, count in enumerate(row)
+        if bits[m] > top - 400
+    }
+    return row, weights, shift
+
+
+ROW_CASES = [(n, s) for s in (1, 2, 3, 4) for n in (0, 1, 2, 3, 301, 302, 1999, 5000)]
+ROW_CASES += [(n, s) for n in (777, 1000, 3000, 5001) for s in (1, 2, 3)]
+ROW_CASES += [(1000, 4), (3000, 7), (5000, 7), (5001, 10), (12345, 1), (12345, 2), (20000, 3)]
+ROW_CASES += [(301, 10**6), (3001, 10**6)]
+
+
+@pytest.mark.parametrize(("n", "s"), ROW_CASES)
+def test_every_row_matches_the_exact_count(n, s):
+    # a row sums up to n logs of ratios, so its error may grow like n
+    # roundings; rows and total are read against row 0
+    row, weights, shift = heavy_weights(n, s)
+    exact = np.array([math.log(count) for count in row]) - math.log(row[0])
+    table = CountTable.build(n, s)
+    bound = 4 * (n + 1) * np.finfo(float).eps
+    error = np.abs(table.log_halfwalk - table.log_halfwalk[0] - exact)
+    assert np.all(error <= bound * np.maximum(1.0, np.abs(exact)))
+    exact_total = math.log(sum(weights.values())) + shift * math.log(2) - 2 * math.log(row[0])
+    total = table.log_total - 2 * table.log_halfwalk[0]
+    assert abs(total - exact_total) <= bound * max(1.0, abs(exact_total))
+
+
+TOP_CASES = [(n, s) for n in (301, 777, 1000, 1999, 3000, 5000, 5001) for s in (1, 2, 3)]
+TOP_CASES += [(1000, 4), (5000, 7), (301, 10**6), (3001, 10**6), (12345, 2), (20000, 3)]
+TOP_CASES += [(12345, 1), (3000, 7), (5001, 10)]
+
+
+@pytest.mark.parametrize(("n", "s"), TOP_CASES)
+def test_top_weights_match_the_exact_fractions(n, s):
+    # the heights the entropy reads, within TRUNCATION_LOG_CUTOFF of the top,
+    # sit at m of order sqrt(n), so their error may grow like sqrt(n) roundings
+    _, weights, _ = heavy_weights(n, s)
+    total = sum(weights.values())
+    logw = CountTable.build(n, s).log_schmidt_weight()
+    kept = np.flatnonzero(logw >= logw.max() + TRUNCATION_LOG_CUTOFF)
+    exact = np.array([((weights[m] << 200) // total) / 2.0**200 for m in kept])
+    bound = 256 * math.sqrt(n) * np.finfo(float).eps
+    assert np.all(np.abs(np.exp(logw[kept]) / exact - 1.0) <= bound)
 
 
 def test_log_table_memory_stays_linear():
