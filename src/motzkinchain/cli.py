@@ -477,6 +477,8 @@ def main(argv: list[str] | None = None) -> int:
             directory = args.out if args.command == "reproduce" else os.path.dirname(args.out)
             if not os.path.isdir(directory or "."):
                 raise InvalidSpec(f"--out: no directory {directory!r}")
+            if args.command != "reproduce" and os.path.isdir(args.out):
+                raise InvalidSpec(f"--out: {args.out!r} is a directory, not a file")
         if args.command == "field" and args.m_max is None:
             args.m_max = min(2 * args.n, 100) if args.n >= 1 else None
         return args.handler(args)

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,8 +47,8 @@ from .hamiltonian import lowest_spectrum
 from .walks import binomial, catalan_number, encode_walk, enumerate_walks, motzkin_number
 
 BASIS_GUARD = 2 * 10**5
+# bounds B**2 for the canonical tree, whose min-cost-flow rounding is the cost past it
 PAIR_GUARD = 10**8
-_EDGE_BLOCK = 2**14  # route entries per edge_load block: bounds its working memory
 
 STOCHASTIC_TOL = 1e-12
 
@@ -453,8 +454,8 @@ class CanonicalTree:
 def build_canonical_tree(n: int, s: int) -> CanonicalTree:
     """The tree over ``dyck_basis(n, s)``, the basis the transition uses.
 
-    Checks the pair guard first, from the basis size: the tree exists to
-    route all ordered pairs, and an oversize one would be built in vain.
+    Checks the pair guard first, from the basis size, so that an oversize
+    tree never starts its min-cost-flow rounding.
     """
     size = basis_size(n, s)
     if size**2 > PAIR_GUARD:
@@ -520,7 +521,11 @@ def canonical_path_with_moves(
 
 @dataclass
 class EdgeLoadResult:
-    """Canonical-path congestion certificate for the Dyck walk."""
+    """Canonical-path congestion certificate for the Dyck walk.
+
+    ``max_edge`` is the move ``(a, b, peak)`` of the way with the largest
+    load ``rho``; ties go to the smallest (longer state, peak, cut) key.
+    """
 
     dim: int
     rho: float
@@ -534,6 +539,53 @@ class EdgeLoadResult:
         return self.gap_bound <= self.gap_true + 1e-12
 
 
+def _way_counts(tree: CanonicalTree) -> tuple[np.ndarray, np.ndarray]:
+    """Moves ``(a, b, peak)`` of every way, by (longer state, peak, cut) key,
+    and ``counts[w, p, q]``: the ordered pairs ``x != y`` at levels ``(p, q)``
+    routed through way ``w``.  After ``c`` cuts and ``a`` adds a route is at
+    ``X+Y``, ``X`` the ancestor of ``x`` at level ``p - c`` and ``Y`` that of
+    ``y`` at level ``a``; the pairs below a split ``(X, Y)`` that cut ``X``'s
+    peak or add ``Y``'s are those whose :func:`_turns` does so there.
+    """
+    basis = tree.basis
+    n, size, level, offsets = basis.n, basis.size, basis.level_of, basis.level_offsets
+    # anc[i, k]: the k-th ancestor of path i, or the root (index 0) once k passes its level
+    anc = np.array([(tree.ancestors(i) + [0] * n)[: n + 1] for i in range(size)])
+    below = np.zeros((size, n + 1), dtype=np.int64)  # [i, p]: descendants of i at level p
+    np.add.at(below, (anc, level[:, None]), np.arange(n + 1) <= level[:, None])
+    # taken[cut, lx, ly, p, q]: a route from level p to q cuts X's peak out of X+Y
+    # (cut 1) or adds Y's into it (cut 0), for X and Y at levels lx and ly
+    taken = np.zeros((2,) + (n + 1,) * 4, dtype=bool)
+    for p, q in np.ndindex(n + 1, n + 1):
+        cut = np.array(_turns(p, q), dtype=np.int64)  # lx: p less the cuts before a step
+        taken[cut, p - cut.cumsum() + cut, (1 - cut).cumsum(), p, q] = True  # ly: adds after it
+    # the splits X+Y of every state, by ascending key X * size + Y
+    split_pairs = [(i, j) for i in range(size) for j in range(offsets[n - level[i] + 1])]
+    x, y = np.array(split_pairs).T
+    joined = np.array([basis.index[basis.paths[i] + basis.paths[j]] for i, j in split_pairs])
+    lx, ly = level[x], level[y]
+    # pairs[i, p, q]: ordered pairs x, y below split i at levels (p, q), less x = y if X, Y nest
+    pairs = below[x][:, :, None] * below[y][:, None, :]
+    deeper = np.where(lx >= ly, x, y)
+    nested = anc[deeper, np.abs(lx - ly)] == np.where(lx >= ly, y, x)
+    pairs[:, range(n + 1), range(n + 1)] -= nested[:, None] * below[deeper]
+    # one row per way of a split: the cut of X's peak (flag 1), the add of Y's (flag 0)
+    rows = np.concatenate([np.flatnonzero(lx > 0), np.flatnonzero(ly > 0)])
+    flag = np.repeat([1, 0], [np.count_nonzero(lx > 0), np.count_nonzero(ly > 0)])
+    xr, yr, longer = x[rows], y[rows], joined[rows]
+    parent_split = np.where(flag, anc[xr, 1] * size + yr, xr * size + anc[yr, 1])
+    shorter = joined[np.searchsorted(x * size + y, parent_split)]
+    peak = np.where(flag, tree.parent_peak[xr], 2 * lx[rows] + tree.parent_peak[yr])
+    moves = np.stack([np.where(flag, longer, shorter), np.where(flag, shorter, longer), peak], 1)
+    key = (longer * 2 * n + peak) * 2 + flag  # 2n bounds every peak index
+    order = np.argsort(key)
+    rows, flag = rows[order], flag[order]
+    count = pairs[rows]
+    count *= taken[flag, lx[rows], ly[rows]]
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    return moves[order[first]], np.add.reduceat(count, first, axis=0)
+
+
 def edge_load(tree: CanonicalTree, transition: TransitionMatrix) -> EdgeLoadResult:
     """Exact maximum edge load over all ordered endpoint pairs.
 
@@ -543,70 +595,44 @@ def edge_load(tree: CanonicalTree, transition: TransitionMatrix) -> EdgeLoadResu
     aggregate transition probability.  The load of a way divided by its
     probability flow bounds the relaxation: ``1 - lambda_2 >= 1/(rho L)``.
 
-    Routes are built in numpy blocks of ordered pairs, after one route per
-    level pair is checked against :func:`canonical_path_with_moves` and for
-    true peak surgery (:class:`RouteMismatch` otherwise).  Accumulation
-    order: a way's load sums ``pi[start] * pi[goal]`` in (start, goal, step)
-    order through one running ``np.add.at``, the same IEEE additions at any
-    block size; ties for the largest load go to the way that appeared first.
+    The weight is constant on levels, so a way's load is ``sum N_pq
+    fl(pi_p pi_q)`` over the route counts of :func:`_way_counts`.  One route
+    per level pair is checked against :func:`canonical_path_with_moves` for
+    true peak surgery and a counted way (:class:`RouteMismatch` otherwise).
+    Float sums put every load within ``(n+1)**2 + 2`` ulps; the ways within
+    1e-9 relative of the largest are summed exactly, rounded once and
+    divided by their flow ``pi[a] * (P[a, b] / ways)``.  Ties go to the
+    smallest (longer state, peak, cut) key.
     """
     basis = tree.basis
     if transition.basis is not basis:
         raise InvalidSpec("tree and transition use different bases")
-    n, size, level, offsets = basis.n, basis.size, basis.level_of, basis.level_offsets
-    width = 2 * n  # the longest route, and a bound on every peak index
-    # anc[i, k]: the k-th ancestor of path i, or the root once k passes its level
-    anc = np.array([(tree.ancestors(i) + [0] * n)[: n + 1] for i in range(size)])
-    cuts = np.zeros((n + 1, n + 1, width), dtype=bool)  # [p, q, t]: step t of a route cuts
+    n, level, offsets = basis.n, basis.level_of, basis.level_offsets
+    moves, counts = _way_counts(tree)
+    counted = dict(zip(map(tuple, moves.tolist()), counts))
     for p, q in np.ndindex(n + 1, n + 1):
-        cuts[p, q, : p + q] = _turns(p, q)
-    cut = np.pad(cuts.cumsum(axis=2), [(0, 0), (0, 0), (1, 0)])  # [p, q, t]: cuts in t steps
-    added = np.minimum(np.arange(width + 1) - cut, np.arange(n + 1)[:, None])
-    # the path pairs x, y whose levels sum to at most n, by ascending key x * size + y
-    pairs = [(x, y) for x in range(size) for y in range(offsets[n - level[x] + 1])]
-    key = np.array([x * size + y for x, y in pairs])
-    joined = np.array([basis.index[basis.paths[x] + basis.paths[y]] for x, y in pairs])
-
-    def routes(start: np.ndarray, goal: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Moves ``(a, b, peak)`` and cut flags of the routes, in (pair, step) order."""
-        p, q = level[start], level[goal]
-        x = anc[start[:, None], cut[p, q]]
-        y = anc[goal[:, None], q[:, None] - added[p, q]]
-        state = joined[np.searchsorted(key, x * size + y)]
-        cut_peak, grow_peak = tree.parent_peak[x[:, :-1]], tree.parent_peak[y[:, 1:]]
-        peak = np.where(cuts[p, q], cut_peak, 2 * level[x[:, 1:]] + grow_peak)
-        taken = np.arange(width) < (p + q)[:, None]
-        return state[:, :-1][taken], state[:, 1:][taken], peak[taken], cuts[p, q][taken]
-
-    firsts = [(offsets[p], offsets[q] + (p == q), q) for p, q in np.ndindex(n + 1, n + 1)]
-    checked = np.array([(a, b) for a, b, q in firsts if b < offsets[q + 1]])
-    expected = [m for a, b in checked.tolist() for m in canonical_path_with_moves(tree, a, b)[1]]
-    # the basis is ordered by length, so the longer path of a move has the larger index
-    for a, b, peak in expected:
-        walk, shorter = basis.paths[max(a, b)], basis.paths[min(a, b)]
-        if peak not in peak_positions(walk, basis.s) or walk[:peak] + walk[peak + 2 :] != shorter:
-            raise RouteMismatch(f"move {(a, b, peak)} removes no peak")
-    if list(zip(*(part.tolist() for part in routes(*checked.T)[:3]))) != expected:
-        raise RouteMismatch("block routes disagree with canonical_path_with_moves")
+        start, goal = offsets[p], offsets[q] + (p == q)
+        if goal == offsets[q + 1]:
+            continue  # a level of one path has no pair of its own
+        for a, b, peak in canonical_path_with_moves(tree, start, goal)[1]:
+            # the basis is ordered by length, so the longer path of a move has the larger index
+            walk = basis.paths[max(a, b)]
+            rest = walk[:peak] + walk[peak + 2 :]
+            surgery = peak in peak_positions(walk, basis.s) and rest == basis.paths[min(a, b)]
+            if not surgery or (a, b, peak) not in counted or counted[a, b, peak][p, q] < 1:
+                raise RouteMismatch(f"move {(a, b, peak)} is no counted peak removal")
 
     pi = transition.stationary
-    loads, seen = np.zeros(size * width * 2), np.zeros(size * width * 2, dtype=bool)
-    found = []
-    per = max(1, _EDGE_BLOCK // width)
-    for first in range(0, size * size, per):
-        start, goal = np.divmod(np.arange(first, min(first + per, size * size)), size)
-        start, goal = start[start != goal], goal[start != goal]
-        a, b, peak, shrinks = routes(start, goal)
-        edge = (np.where(shrinks, a, b) * width + peak) * 2 + shrinks  # (longer, peak, cut)
-        fresh = np.stack([a, b, peak, edge])[:, ~seen[edge]]
-        found.append(fresh[:, np.sort(np.unique(fresh[3], return_index=True)[1])])
-        seen[found[-1][3]] = True
-        np.add.at(loads, edge, np.repeat(pi[start] * pi[goal], level[start] + level[goal]))
-    a, b, peak, edge = np.concatenate(found, axis=1)
+    weight = np.outer(pi[list(offsets[:-1])], pi[list(offsets[:-1])]).ravel()
+    a, b, peak = moves.T
     ways = np.asarray(basis.removals[np.minimum(a, b), np.maximum(a, b)]).ravel()
-    values = loads[edge] / (pi[a] * (transition.matrix[a, b] / ways))
-    best = int(np.argmax(values))
-    rho = float(values[best])
+    flow = pi[a] * (transition.matrix[a, b] / ways)
+    estimate = counts.reshape(len(moves), -1) @ weight / flow
+    terms = [Fraction(w) for w in weight.tolist()]
+    near = np.flatnonzero(estimate >= estimate.max() * (1 - 1e-9)).tolist()
+    exact = [float(sum(map(mul, counts[w].ravel().tolist(), terms))) / flow[w] for w in near]
+    best = near[int(np.argmax(exact))]
+    rho = float(max(exact))
     longest = int(level[-2] + level[-1])
     lambda2 = transition.second_eigenvalue()
     gap_true = 1.0 - lambda2

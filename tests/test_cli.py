@@ -163,6 +163,28 @@ def test_out_in_a_missing_directory_exits_before_computing(argv, tmp_path, capsy
     assert not missing.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--s", "1", "--n-list", "2"],
+        ["field", "--n", "3", "--s", "1", "--eps0", "0.1"],
+    ],
+    ids=["entropy", "field"],
+)
+def test_out_naming_a_directory_exits_before_computing(argv, tmp_path, capsys, monkeypatch):
+    from motzkinchain import cli
+
+    def no_work(args):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(cli, f"_cmd_{argv[0]}", no_work)
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_text_atomic_overwrites_in_place(tmp_path):
     path = tmp_path / "table.csv"
     write_text_atomic(path, "a,b\n1,2\n")
@@ -318,17 +340,18 @@ def test_markov_full_report(capsys):
 def test_markov_bytes_are_stable(capsys):
     # recorded from the Step/Walk implementation the digit-tuple walks
     # replaced; lambda2 and gap_true re-recorded from the certified H_eff
-    # eigensolve, which matches the 40-digit lambda2 0.98668690925687632156
+    # eigensolve, which matches the 40-digit lambda2 0.98668690925687632156;
+    # rho and gap_bound re-recorded when the load became one exact sum per way
     assert main(["markov", "--two-n", "6", "--s", "2"]) == EXIT_OK
     assert capsys.readouterr().out == (
         "{\n"
         '  "L": 6,\n'
         '  "certified": true,\n'
         '  "dim": 51,\n'
-        '  "gap_bound": 0.0008650362318840494,\n'
+        '  "gap_bound": 0.0008650362318840579,\n'
         '  "gap_true": 0.013313090743123701,\n'
         '  "lambda2": 0.9866869092568763,\n'
-        '  "rho": 192.67015706806475,\n'
+        '  "rho": 192.67015706806285,\n'
         '  "s": 2,\n'
         '  "two_n": 6\n'
         "}\n"
@@ -341,23 +364,29 @@ def test_markov_bytes_are_stable(capsys):
         (
             "6", "3",
             '  "L": 6,\n  "certified": true,\n  "dim": 157,\n'
-            '  "gap_bound": 0.0005740104365534016,\n  "gap_true": 0.008602897282577793,\n'
-            '  "lambda2": 0.9913971027174222,\n  "rho": 290.35476718403055,\n'
+            '  "gap_bound": 0.0005740104365533919,\n  "gap_true": 0.008602897282577793,\n'
+            '  "lambda2": 0.9913971027174222,\n  "rho": 290.3547671840355,\n'
             '  "s": 3,\n  "two_n": 6\n',
         ),
         (
             "10", "1",
             '  "L": 10,\n  "certified": true,\n  "dim": 65,\n'
-            '  "gap_bound": 0.0002644591339325949,\n  "gap_true": 0.022934289993125634,\n'
-            '  "lambda2": 0.9770657100068744,\n  "rho": 378.13025594150173,\n'
+            '  "gap_bound": 0.00026445913393259666,\n  "gap_true": 0.022934289993125634,\n'
+            '  "lambda2": 0.9770657100068744,\n  "rho": 378.13025594149923,\n'
             '  "s": 1,\n  "two_n": 10\n',
         ),
     ],
 )
 def test_markov_certificate_bytes_are_stable(capsys, two_n, s, expected):
-    # recorded from the pair-by-pair edge load that the block routes replaced
+    # rho and gap_bound re-recorded when the load became one exact sum per way
     assert main(["markov", "--two-n", two_n, "--s", s]) == EXIT_OK
     assert capsys.readouterr().out == "{\n" + expected + "}\n"
+
+
+def test_markov_certifies_sixteen_sites(capsys):
+    assert main(["markov", "--two-n", "16", "--s", "1"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certified"] is True and payload["L"] == 16 and payload["dim"] == 2056
 
 
 def _run_fresh(*argv):

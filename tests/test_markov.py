@@ -2,9 +2,9 @@
 
 Structural claims (stochasticity, reversibility, matching feasibility,
 tree shape, routing validity) are checked exactly or to 1e-12.  Spectral
-quantities are compared against dense diagonalization, and the congestion
-certificate bit for bit against a pair-by-pair edge load and at frozen
-reference sizes.
+quantities are compared against dense diagonalization, the congestion
+certificate's route counts exactly and its load bit for bit against a
+pair-by-pair edge load, and its load at frozen reference sizes.
 """
 
 import math
@@ -161,33 +161,43 @@ def route_oracle(tree, start, goal):
 
 
 def edge_load_oracle(tree, transition):
-    """The edge load routed one ordered pair at a time into a dict.
+    """The edge load routed one ordered pair at a time.
 
-    Loads add up in (start, goal, step) order, and the largest load is
-    taken in order of first appearance.  Returns ``(rho, max_edge,
-    path_length_max, gap_bound)``.
+    Counts, per way ``(a, b, peak)``, the pairs at each level pair whose
+    route takes it, then sums every way's load exactly, rounds it once and
+    divides it by the way's flow; ties for the largest value go to the
+    smallest (longer state, peak, cut) key.  Returns the counts and
+    ``(rho, max_edge, path_length_max, gap_bound)``.
     """
     basis = tree.basis
-    pi = transition.stationary
-    loads = {}
+    n, level = basis.n, basis.level_of
+    counts = {}
     longest = 0
-    for a in range(basis.size):
-        for b in range(basis.size):
-            if a == b:
+    for x in range(basis.size):
+        for y in range(basis.size):
+            if x == y:
                 continue
-            _, moves = canonical_path_with_moves(tree, a, b)
+            _, moves = canonical_path_with_moves(tree, x, y)
             longest = max(longest, len(moves))
-            weight = pi[a] * pi[b]
             for move in moves:
-                loads[move] = loads.get(move, 0.0) + weight
-    edges = list(loads)
-    a, b, _ = np.array(edges, dtype=np.int64).T
-    ways = np.asarray(basis.removals[np.minimum(a, b), np.maximum(a, b)]).ravel()
-    values = np.fromiter(loads.values(), dtype=float, count=len(edges))
-    values /= pi[a] * (transition.matrix[a, b] / ways)
-    best = int(np.argmax(values))
-    rho = float(values[best])
-    return rho, edges[best], longest, 1.0 / (rho * longest)
+                counts.setdefault(move, np.zeros((n + 1, n + 1), dtype=np.int64))
+                counts[move][level[x], level[y]] += 1
+    pi = transition.stationary
+    per_level = pi[list(basis.level_offsets[:-1])]
+    weight = {
+        (p, q): Fraction(float(per_level[p] * per_level[q]))
+        for p in range(n + 1)
+        for q in range(n + 1)
+    }
+    values = {}
+    for (a, b, peak), count in counts.items():
+        ways = basis.removals[min(a, b), max(a, b)]
+        flow = pi[a] * (transition.matrix[a, b] / ways)
+        load = sum(int(count[p, q]) * w for (p, q), w in weight.items())
+        values[(max(a, b), peak, int(a > b))] = (float(load) / flow, (a, b, peak))
+    rho = max(value for value, _ in values.values())
+    best = min(key for key, (value, _) in values.items() if value == rho)
+    return counts, (rho, values[best][1], longest, 1.0 / (rho * longest))
 
 
 # ---------------------------------------------------------------------------
@@ -590,16 +600,48 @@ EDGE_LOAD_ORACLE_SIZES = [
 
 
 @pytest.mark.parametrize(("two_n", "s"), EDGE_LOAD_ORACLE_SIZES)
-def test_edge_load_equals_pair_by_pair_oracle(two_n, s, monkeypatch):
+def test_edge_load_equals_pair_by_pair_oracle(two_n, s):
     tree = build_canonical_tree(two_n // 2, s)
     t = build_transition(two_n, s)
-    expected = edge_load_oracle(tree, t)
-    # the default block, then blocks of a few pairs, so loads add up across blocks
-    for block in (markov._EDGE_BLOCK, 64):
-        monkeypatch.setattr(markov, "_EDGE_BLOCK", block)
-        result = edge_load(tree, t)
-        got = (result.rho, result.max_edge, result.path_length_max, result.gap_bound)
-        assert got == expected
+    counts, expected = edge_load_oracle(tree, t)
+    moves, got = markov._way_counts(tree)
+    # ways come in (longer state, peak, cut) order
+    key = lambda move: (max(move[:2]), move[2], move[0] > move[1])
+    assert sorted(counts, key=key) == [tuple(move) for move in moves.tolist()]
+    for move, count in zip(moves.tolist(), got):
+        assert np.array_equal(count, counts[tuple(move)])
+    result = edge_load(tree, t)
+    assert (result.rho, result.max_edge, result.path_length_max, result.gap_bound) == expected
+
+
+@pytest.mark.parametrize(
+    ("two_n", "s"), [(two_n, 1) for two_n in range(2, 18, 2)] + [(8, 2), (6, 3)]
+)
+def test_way_counts_conserve_route_steps(two_n, s):
+    # every ordered pair x != y at levels (p, q) takes p + q steps, and a
+    # level holds c_p = s**p C_p paths
+    n = two_n // 2
+    _, counts = markov._way_counts(build_canonical_tree(n, s))
+    size = [s**p * catalan_number(p) for p in range(n + 1)]
+    expected = [
+        [(p + q) * size[p] * (size[q] - (p == q)) for q in range(n + 1)] for p in range(n + 1)
+    ]
+    assert counts.sum(axis=0).tolist() == expected
+
+
+def test_edge_load_at_fourteen_sites_keeps_the_routed_value():
+    # 957.2852960675141 was the load summed route by route in float
+    result = edge_load(build_canonical_tree(7, 1), build_transition(14, 1))
+    assert result.rho == pytest.approx(957.2852960675141, rel=1e-13)
+    assert result.certified() and result.path_length_max == 14
+
+
+def test_edge_load_ties_go_to_the_smallest_key():
+    # four colors tie many ways exactly; the smallest (longer state, peak,
+    # cut) key among them is reported
+    result = edge_load(build_canonical_tree(2, 4), build_transition(4, 4))
+    assert result.max_edge == (6, 2, 0)
+    assert result.rho == 90.94736842105262
 
 
 def test_edge_load_route_check_fails_cleanly():
@@ -615,7 +657,7 @@ def test_edge_load_route_check_fails_cleanly():
 
 
 def test_edge_load_memory_peak():
-    # the block cap bounds the working set; 1.95 MiB measured at 2**14 entries
+    # the route counts of 792 ways over 5 x 5 level pairs; 1.8 MiB measured
     tree = build_canonical_tree(4, 2)
     t = build_transition(8, 2)
     edge_load(tree, t)
