@@ -49,13 +49,15 @@ def _ai(x: float) -> float:
     return float(airy(x)[0])
 
 
+@lru_cache(maxsize=None)
 def airy_zeros(count: int = DEFAULT_ZERO_COUNT) -> np.ndarray:
     """First ``count`` zeros of Ai on the negative axis, descending.
 
     Each zero is bracketed between midpoints of the classical estimates
     ``-(3 pi (4j - 1)/8)^{2/3}`` for neighboring indices and refined by
     bisection until the interval closes to 1e-13, which leaves the
-    residual |Ai| comfortably below 1e-10.
+    residual |Ai| comfortably below 1e-10.  The table is computed once per
+    ``count`` and returned read-only.
     """
     if count < 1:
         raise InvalidSpec("need at least one zero")
@@ -81,7 +83,9 @@ def airy_zeros(count: int = DEFAULT_ZERO_COUNT) -> np.ndarray:
             else:
                 lo, f_lo = mid, f_mid
         zeros.append(0.5 * (lo + hi))
-    return np.array(zeros)
+    table = np.array(zeros)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass
@@ -229,24 +233,14 @@ def characteristic_FA(theta: float, density: ExcursionDensity | None = None) -> 
     if abs(theta) > 100:
         raise InvalidSpec("|theta| above 100 is outside the supported range")
     if density is None:
-        density = _shared_density()
+        density = excursion_density()
     width = 0.1 if theta == 0 else min(0.1, 1.0 / (4.0 * abs(theta)))
-    real, err_r = integrate_density(
-        density, lambda x: np.cos(2.0 * math.pi * x * theta), max_panel_width=width
+    value, err = integrate_density(
+        density, lambda x: np.exp(2j * math.pi * x * theta), max_panel_width=width
     )
-    imag, err_i = integrate_density(
-        density, lambda x: np.sin(2.0 * math.pi * x * theta), max_panel_width=width
-    )
-    if max(err_r, err_i) > 1e-6:
-        raise NoConvergence(
-            "oscillatory quadrature failed to reach 1e-6", max(err_r, err_i)
-        )
-    return complex(real, imag)
-
-
-@lru_cache(maxsize=1)
-def _shared_density() -> ExcursionDensity:
-    return excursion_density()
+    if err > 1e-6:
+        raise NoConvergence("oscillatory quadrature failed to reach 1e-6", err)
+    return complex(value)
 
 
 @dataclass
@@ -274,7 +268,7 @@ def rectangle_level_pair(
     rectangle bound ``1 - height * width`` it must not exceed.
     """
     if density is None:
-        density = _shared_density()
+        density = excursion_density()
     if width is None:
         width = area_std()
     grid = np.linspace(0.2, 1.2, 2001)

@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InvalidSpec, SizeExceeded
-from .hamiltonian import ChainSpec, build_hamiltonian, local_move_classes, lowest_spectrum
 from .schmidt import sigma
 from .walks import halfwalk_row
 
@@ -154,10 +153,11 @@ def product_ground_state(two_n: int, alpha: float) -> np.ndarray:
     amplitude on both orderings, and the pair direction sees amplitude
     ``1 * 1`` on ``|0 0>`` against ``alpha / alpha`` on ``|l r>``.
     """
+    from .hamiltonian import ChainSpec
+
     if not math.isfinite(alpha) or alpha == 0.0:
         raise DomainError("alpha must be a nonzero finite real")
-    spec = ChainSpec(two_n=two_n, s=1, boundary="open")
-    spec.check_size()
+    ChainSpec(two_n=two_n, s=1, boundary="open").check_size()
     site = np.array([1.0, alpha, 1.0 / alpha])
     site /= np.linalg.norm(site)
     vec = np.array([1.0])
@@ -200,6 +200,8 @@ def sector_first_order_check(two_n: int, epsilon0: float = 1e-3) -> SectorCheck:
     sector, from one :func:`lowest_spectrum` call, is compared with the
     field strength times the mean non-flat count at the sector's imbalance.
     """
+    from .hamiltonian import ChainSpec, build_hamiltonian, local_move_classes, lowest_spectrum
+
     if not 0.0 < epsilon0 < 1.0:
         raise DomainError("epsilon0 must lie in (0, 1)")
     spec = ChainSpec(two_n=two_n, s=1, boundary="open", field_epsilon0=epsilon0)

@@ -88,7 +88,7 @@ def entropy_exact(n: int, s: int) -> float:
     """
     table = CountTable.build(n, s)
     logw = table.log_schmidt_weight()
-    logp = schmidt_spectrum(table).log_probability
+    logp = 2.0 * table.log_halfwalk - table.log_total
     keep = logw >= np.max(logw) + TRUNCATION_LOG_CUTOFF
     return -float(np.sum(np.exp(logw[keep]) * logp[keep]))
 

@@ -13,6 +13,8 @@ import decimal
 import math
 from itertools import product
 
+import numpy as np
+
 from motzkinchain import walks
 
 
@@ -153,3 +155,27 @@ def exact_entropy_and_mean_height(n, s):
                 entropy -= share * (share.ln() - m * ln_s)
                 mean += m * share
         return +entropy, +mean
+
+
+def exact_surplus_chain(two_n, s):
+    """Rates, hopping operator and ground state of the surplus-letter chain
+    from exact Motzkin integers: each rate is one correctly rounded integer
+    quotient, the hopping part a sum of rank-one terms, and the ground state
+    ``sqrt(M_{j-1} M_{2n-j})`` taken from the integer products.  Exact only
+    while those products fit a float (``two_n`` up to about 600).
+    """
+    counts = [walks.motzkin_number(k, 1) for k in range(two_n)]
+    alpha_sq = np.array(
+        [counts[two_n - j - 1] / (2 * s * counts[two_n - j]) for j in range(1, two_n)]
+    )
+    beta_sq = np.array([counts[j - 1] / (2 * s * counts[j]) for j in range(1, two_n)])
+    hopping = np.zeros((two_n, two_n))
+    for j in range(two_n - 1):
+        vec = np.zeros(two_n)
+        vec[j] = math.sqrt(alpha_sq[j])
+        vec[j + 1] = -math.sqrt(beta_sq[j])
+        hopping += np.outer(vec, vec)
+    ground = np.array(
+        [math.sqrt(counts[j - 1] * counts[two_n - j]) for j in range(1, two_n + 1)]
+    )
+    return alpha_sq, beta_sq, hopping, ground / np.linalg.norm(ground)

@@ -65,6 +65,15 @@ def test_airy_zeros_match_library_special_values():
     assert (np.diff(ours) < 0).all()
 
 
+def test_airy_zeros_are_bisected_once_per_count_and_shared_read_only():
+    zeros = airy_zeros(40)
+    assert airy_zeros(40) is zeros
+    assert excursion_density().zeros is zeros
+    assert not zeros.flags.writeable
+    with pytest.raises(ValueError):
+        zeros[0] = 0.0
+
+
 def test_density_left_tail_is_essentially_zero():
     d = excursion_density()
     value = d(0.05)
@@ -176,6 +185,19 @@ def test_transform_is_tiny_at_inverse_std():
     assert abs(characteristic_FA(theta)) == pytest.approx(
         0.001771724365765934, abs=1e-6
     )
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0 / area_std(), 2.0, 7.5, 40.0, -3.0])
+def test_transform_matches_the_cosine_sine_pair(theta):
+    d = excursion_density()
+    width = 0.1 if theta == 0 else min(0.1, 1.0 / (4.0 * abs(theta)))
+    real, _ = integrate_density(
+        d, lambda x: np.cos(2.0 * math.pi * x * theta), max_panel_width=width
+    )
+    imag, _ = integrate_density(
+        d, lambda x: np.sin(2.0 * math.pi * x * theta), max_panel_width=width
+    )
+    assert abs(characteristic_FA(theta, d) - complex(real, imag)) <= 1e-13
 
 
 def test_transform_frequency_cap():

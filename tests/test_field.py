@@ -9,7 +9,11 @@ operator.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +283,20 @@ def test_field_keeps_the_move_class_numbering(two_n):
 def test_sector_check_validation():
     with pytest.raises(DomainError):
         sector_first_order_check(4, 0.0)
+
+
+def test_importing_the_light_modules_leaves_scipy_sparse_and_special_unloaded():
+    # only the sector check and the product state reach the chain operator
+    package_root = str(Path(field.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "import motzkinchain.cli, motzkinchain.walks, motzkinchain.schmidt, motzkinchain.field\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.special'))))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import motzkinchain
+from conftest import exact_surplus_chain
 from motzkinchain import markov
 from motzkinchain.errors import InvalidSpec, RouteMismatch, SizeExceeded
 from motzkinchain.hamiltonian import ChainSpec, build_hamiltonian, walk_to_index
@@ -796,3 +797,41 @@ def test_unbalanced_chain_validation():
         build_unbalanced_chain(7, 1)
     with pytest.raises(InvalidSpec):
         build_unbalanced_chain(10, 0)
+
+
+@pytest.mark.parametrize("s", [1, 2, 7])
+@pytest.mark.parametrize("two_n", [2, 4, 10, 40, 120])
+def test_unbalanced_chain_matches_the_exact_integer_construction(two_n, s):
+    chain = build_unbalanced_chain(two_n, s)
+    alpha_sq, beta_sq, hopping, ground = exact_surplus_chain(two_n, s)
+    assert np.all(np.abs(chain.alpha_sq - alpha_sq) <= 4 * np.spacing(alpha_sq))
+    assert np.all(np.abs(chain.beta_sq - beta_sq) <= 4 * np.spacing(beta_sq))
+    assert np.abs(chain.ground - ground).max() <= 1e-14
+    assert np.abs(chain.hopping - hopping).max() <= 1e-15
+
+
+@pytest.mark.parametrize("two_n, s", [(700, 1), (2000, 1), (200, 1000)])
+def test_unbalanced_chain_stays_finite_past_the_float_range_of_the_counts(two_n, s):
+    # M_{2n} passes the float range near 2n = 646; s**n did at (200, 1000)
+    chain = build_unbalanced_chain(two_n, s)
+    assert np.isfinite(chain.ground).all()
+    assert np.linalg.norm(chain.ground) == pytest.approx(1.0, rel=1e-14)
+    assert chain.pi_first == chain.ground[0] ** 2
+    assert np.abs(chain.hopping @ chain.ground).max() <= 1e-12
+    for rates in (chain.alpha_sq, chain.beta_sq):
+        assert rates.min() >= 1.0 / (6 * s)
+        assert rates.max() <= 1.0 / (2 * s)
+    assert chain.lambda1 > 0
+
+
+def test_unbalanced_chain_refuses_past_its_guard_before_building_anything():
+    # one rate row at the guard would take 32 kB, one dense matrix 128 MB
+    for two_n in (markov.CHAIN_GUARD + 2, 10**7):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeExceeded):
+                build_unbalanced_chain(two_n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**10

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import exact_entropy_and_mean_height, iter_matched_digit_strings
+from motzkinchain import schmidt
 from motzkinchain.errors import InvalidSpec
 from motzkinchain.schmidt import (
     EULER_GAMMA,
@@ -158,6 +159,21 @@ def test_entropy_two_site_values():
 @pytest.mark.parametrize(("n", "s"), [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
 def test_entropy_matches_brute_force(n, s):
     assert entropy_exact(n, s) == pytest.approx(brute_entropy_nats(n, s), abs=1e-10)
+
+
+@pytest.mark.parametrize(("n", "s"), [(301, 2), (10**4, 3), (5000, 10**6)])
+def test_entropy_reads_the_spectrum_without_its_rank(monkeypatch, n, s):
+    table = CountTable.build(n, s)
+    logw = table.log_schmidt_weight()
+    logp = schmidt_spectrum(table).log_probability
+    keep = logw >= np.max(logw) + schmidt.TRUNCATION_LOG_CUTOFF
+    expected = -float(np.sum(np.exp(logw[keep]) * logp[keep]))
+
+    def no_rank(n, s):
+        raise AssertionError("the Schmidt rank was computed")
+
+    monkeypatch.setattr(schmidt, "schmidt_rank", no_rank)
+    assert entropy_exact(n, s) == expected
 
 
 ORACLE_CASES = [(n, s) for n in (301, 1000, 3000, 10**4) for s in (1, 2, 3, 7)] + [(1000, 10**6)]
