@@ -383,16 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
         shared.add_argument(flag, default=argparse.SUPPRESS, **options)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, handler, format_default):
+    def command(name: str, summary: str, handler):
         sub = commands.add_parser(name, help=summary, parents=[shared])
-        sub.set_defaults(handler=handler, format_default=format_default)
+        sub.set_defaults(handler=handler)
         return sub
 
-    entropy = command("entropy", "middle-cut entanglement entropy table", _cmd_entropy, "csv")
+    entropy = command("entropy", "middle-cut entanglement entropy table", _cmd_entropy)
     entropy.add_argument("--s", type=int, required=True, help="number of letter colors")
     entropy.add_argument("--n-list", required=True, help="comma-separated half-chain sizes")
 
-    spectrum = command("spectrum", "lowest chain eigenvalues", _cmd_spectrum, "json")
+    spectrum = command("spectrum", "lowest chain eigenvalues", _cmd_spectrum)
     spectrum.add_argument("--two-n", type=int, required=True, help="chain length")
     spectrum.add_argument("--s", type=int, required=True)
     spectrum.add_argument(
@@ -403,19 +403,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps0", type=float, default=0.0, help="external field strength (0 disables)"
     )
 
-    gap = command("gap", "spectral gap versus size with a fitted exponent", _cmd_gap, "csv")
+    gap = command("gap", "spectral gap versus size with a fitted exponent", _cmd_gap)
     gap.add_argument("--s", type=int, required=True)
     gap.add_argument("--sizes", required=True, help="comma-separated chain lengths")
     gap.add_argument(
         "--boundary", choices=("motzkin", "open", "periodic"), default="motzkin"
     )
 
-    classes = command("classes", "move-equivalence sectors of the chain", _cmd_classes, "csv")
+    classes = command("classes", "move-equivalence sectors of the chain", _cmd_classes)
     classes.add_argument("--two-n", type=int, required=True, help="chain length")
     classes.add_argument("--s", type=int, required=True)
     classes.add_argument("--boundary", choices=("open", "periodic"), default="open")
 
-    markov = command("markov", "Dyck-space walk gap and congestion bound", _cmd_markov, "json")
+    markov = command("markov", "Dyck-space walk gap and congestion bound", _cmd_markov)
     markov.add_argument("--two-n", type=int, required=True, help="Dyck path length")
     markov.add_argument("--s", type=int, required=True)
     markov.add_argument(
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     excursion = command(
-        "excursion", "excursion-area density or twisted trial state", _cmd_excursion, None
+        "excursion", "excursion-area density or twisted trial state", _cmd_excursion
     )
     excursion.add_argument("--density", action="store_true", help="tabulate the area density")
     excursion.add_argument("--trial", action="store_true", help="evaluate the trial state")
@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="twist override (default: the reference twist for the size)",
     )
 
-    field = command("field", "first-order sector energies in a weak field", _cmd_field, "csv")
+    field = command("field", "first-order sector energies in a weak field", _cmd_field)
     field.add_argument("--n", type=int, required=True, help="half chain length")
     field.add_argument("--s", type=int, required=True)
     field.add_argument("--eps0", type=float, required=True, help="field strength in (0,1)")
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest imbalance to tabulate (default min(2n, 100))",
     )
 
-    reproduce = command("reproduce", "emit data behind a named figure", _cmd_reproduce, "csv")
+    reproduce = command("reproduce", "emit data behind a named figure", _cmd_reproduce)
     reproduce.add_argument("--tag", choices=FIGURE_TAGS, required=True)
 
     return parser
@@ -465,10 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_thread_limit(args.threads)
-        if args.format is None:
-            args.format = args.format_default
-        if args.command == "excursion" and args.format is None:
-            args.format = "csv" if args.density else "json"
         # color counts enter the float formulas through sqrt(s) and log(s)
         if getattr(args, "s", 1) > sys.float_info.max:
             raise InvalidSpec("--s exceeds the float range")

@@ -152,18 +152,6 @@ def _block(s: int, families: tuple[str, ...]) -> sp.csr_matrix:
     return sum(chosen, sp.csr_matrix((d * d, d * d)))
 
 
-def _digits(configs: np.ndarray, two_n: int, d: int) -> np.ndarray:
-    """Base-``d`` digits of each configuration: row ``j`` is site ``j + 1``.
-
-    int16 holds every digit ``2s`` that the dimension guard admits.
-    """
-    digits = np.empty((two_n, len(configs)), dtype=np.int16)
-    rest = np.asarray(configs)
-    for row in range(two_n - 1, -1, -1):
-        rest, digits[row] = np.divmod(rest, d)
-    return digits
-
-
 def _site_pairs(spec: ChainSpec) -> list[tuple[str, int, int]]:
     """Every ordered pair of 1-based sites a two-site term acts on, labeled:
     ``pair(j,j+1)`` in the bulk, and ``wrap`` = (site 2n, site 1) on a ring."""
@@ -212,18 +200,25 @@ def _assemble(spec: ChainSpec, families: tuple[str, ...]) -> sp.csr_matrix:
     return total
 
 
+def _site_sum(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Per configuration, the sum over sites of ``rows[j][digit of site j + 1]``,
+    as outer sums, site 1 first; exact, as the rows hold small integers."""
+    total = np.zeros(1)
+    for row in rows:
+        total = np.add.outer(total, row).ravel()
+    return total
+
+
 def boundary_diagonal(two_n: int, s: int) -> np.ndarray:
     """Penalty vector: right letter on site 1 plus left letter on site 2n."""
-    d = 2 * s + 1
-    configs = np.arange(d**two_n)
-    first, last = configs // d ** (two_n - 1), configs % d
-    return ((first > s).astype(float)) + (((last >= 1) & (last <= s)).astype(float))
+    letters = np.arange(2 * s + 1)
+    inner = [np.zeros(letters.size)] * (two_n - 2)
+    return _site_sum([letters > s, *inner, (letters >= 1) & (letters <= s)])
 
 
 def field_diagonal(two_n: int, s: int) -> np.ndarray:
     """Non-flat letter count of every configuration."""
-    digits = _digits(np.arange((2 * s + 1) ** two_n), two_n, 2 * s + 1)
-    return (digits > 0).sum(axis=0, dtype=float)
+    return _site_sum([np.arange(2 * s + 1) > 0] * two_n)
 
 
 def build_hamiltonian(spec: ChainSpec) -> SparseOperator:
@@ -338,16 +333,6 @@ def sector_split(matrix: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
     return sector_of, np.bincount(sector_of, minlength=count)
 
 
-def _relabel(digits: np.ndarray, d: int, letters: np.ndarray) -> np.ndarray:
-    """Index of every configuration after each digit ``c`` becomes
-    ``letters[c]``, the rows of ``digits`` read as sites 1, 2, ..."""
-    out = np.zeros(digits.shape[1], dtype=np.int32)
-    for row in digits:
-        out *= d
-        out += letters[row]
-    return out
-
-
 def _symmetry_maps(spec: ChainSpec) -> list[np.ndarray]:
     """Index maps ``p`` of the chain with ``H[p[i], p[j]] == H[i, j]``.
 
@@ -356,17 +341,23 @@ def _symmetry_maps(spec: ChainSpec) -> list[np.ndarray]:
     boundary penalties, and keeps ``create-pair-k``, ``cross``, the wrap
     pair and the field.  For ``s >= 2`` the transposition of colors ``c``
     and ``c + 1`` relabels the letters only, and every term treats the
-    colors alike.
+    colors alike.  A map relabels the index grid, one axis per site, axis
+    by axis; the mirror first reverses the axes.
     """
     s, d = spec.s, spec.d
-    digits = _digits(np.arange(spec.dim, dtype=np.int32), spec.two_n, d)
-    letters = np.arange(d, dtype=np.int32)
+    grid = np.arange(spec.dim, dtype=np.int32).reshape((d,) * spec.two_n)
+    letters = np.arange(d)
     mirror = np.concatenate((letters[:1], letters[s + 1:], letters[1:s + 1]))
-    maps = [_relabel(digits[::-1], d, mirror)]
+    relabelings = [(grid.transpose(), mirror)]
     for c in range(1, s):
         swap = letters.copy()
         swap[[c, c + 1, s + c, s + c + 1]] = [c + 1, c, s + c + 1, s + c]
-        maps.append(_relabel(digits, d, swap))
+        relabelings.append((grid, swap))
+    maps = []
+    for image, table in relabelings:
+        for axis in range(spec.two_n):
+            image = np.take(image, table, axis=axis)
+        maps.append(image.ravel())
     return maps
 
 
@@ -686,7 +677,7 @@ def local_move_classes(two_n: int, s: int, periodic: bool = False) -> MoveClasse
     class_id, sizes = sector_split(build_hamiltonian(spec).matrix)
     order = np.argsort(class_id, kind="stable")
     starts = np.cumsum(sizes) - sizes
-    smallest = _digits(order[starts], two_n, spec.d).T.tolist()
+    smallest = np.transpose(np.unravel_index(order[starts], (spec.d,) * two_n)).tolist()
     labels = [_word_label([digit for digit in row if digit], s) for row in smallest]
     members = np.split(order, starts[1:])
     return MoveClasses(two_n=two_n, s=s, class_id=class_id, members=members, labels=labels)

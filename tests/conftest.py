@@ -4,7 +4,8 @@ Everything here works on plain digit tuples with its own stack scans, so
 the expected values it produces do not depend on the library code under
 test.  The one exception, ``exact_entropy_and_mean_height``, reads the
 library's exact integer rows (``walks.halfwalk_row``, itself checked against
-``halfwalk_table`` here) and takes their logs in ``decimal``.
+``halfwalk_table`` here) and takes their logs in ``decimal``.  The
+digit-table oracles work on whole index arrays, by repeated division.
 Digit convention, shared with the library's walks: 0 is a flat site, 1..s
 are open letters by color, s+1..2s are the matching close letters.
 """
@@ -179,3 +180,39 @@ def exact_surplus_chain(two_n, s):
         [math.sqrt(counts[j - 1] * counts[two_n - j]) for j in range(1, two_n + 1)]
     )
     return alpha_sq, beta_sq, hopping, ground / np.linalg.norm(ground)
+
+
+def digit_table(configs, two_n, d):
+    """Base-``d`` digits of each configuration, by repeated division: row
+    ``j`` is site ``j + 1``, the most significant digit.  int16 holds every
+    digit ``2s`` that the dimension guard admits."""
+    digits = np.empty((two_n, len(configs)), dtype=np.int16)
+    rest = np.asarray(configs)
+    for row in range(two_n - 1, -1, -1):
+        rest, digits[row] = np.divmod(rest, d)
+    return digits
+
+
+def digit_table_symmetry_maps(two_n, s):
+    """The chain's mirror and color-transposition index maps, each config's
+    digits relabeled and read back in base ``d``: the mirror reads the
+    sites in reverse and swaps each color's left and right letter, the
+    transposition of colors ``c`` and ``c + 1`` swaps their letters only."""
+    d = 2 * s + 1
+    digits = digit_table(np.arange(d**two_n, dtype=np.int32), two_n, d)
+    letters = np.arange(d, dtype=np.int32)
+
+    def relabel(rows, table):
+        out = np.zeros(digits.shape[1], dtype=np.int32)
+        for row in rows:
+            out *= d
+            out += table[row]
+        return out
+
+    mirror = np.concatenate((letters[:1], letters[s + 1:], letters[1:s + 1]))
+    maps = [relabel(digits[::-1], mirror)]
+    for c in range(1, s):
+        swap = letters.copy()
+        swap[[c, c + 1, s + c, s + c + 1]] = [c + 1, c, s + c + 1, s + c]
+        maps.append(relabel(digits, swap))
+    return maps

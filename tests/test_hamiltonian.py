@@ -7,6 +7,7 @@ diagonalization at small sizes and certified iterative solves above.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 
 from conftest import (
     all_digit_strings,
+    digit_table_symmetry_maps,
     digits_form_walk,
     heights_of_digits,
     scan_digits,
@@ -528,6 +530,16 @@ def test_symmetry_maps_commute_with_the_operator(spec):
         assert defects == [0.0]
 
 
+@pytest.mark.parametrize("spec", MAP_SPECS, ids=str)
+def test_symmetry_maps_equal_the_digit_table_construction(spec):
+    maps = hamiltonian._symmetry_maps(spec)
+    expected = digit_table_symmetry_maps(spec.two_n, spec.s)
+    assert len(maps) == len(expected)
+    for p, q in zip(maps, expected):
+        assert p.dtype == q.dtype == np.int32
+        assert np.array_equal(p, q)
+
+
 def test_mirror_and_transposition_digits():
     spec = ChainSpec(two_n=4, s=2)
     mirror, swap = hamiltonian._symmetry_maps(spec)
@@ -958,31 +970,59 @@ def test_smallest_member_is_flats_then_its_reduced_word(two_n, s):
 # ---------------------------------------------------------------------------
 
 
+DIAGONAL_SIZES = ((4, 1), (4, 2), (6, 2), (2, 100))
+
+
 def test_boundary_diagonal_counts_edge_letters():
-    for s in (1, 2):
-        d = 2 * s + 1
-        diag = boundary_diagonal(4, s)
-        for i, digits in enumerate(all_digit_strings(4, s)):
-            expected = float(digits[0] > s) + float(1 <= digits[-1] <= s)
-            assert diag[i] == expected
+    for two_n, s in DIAGONAL_SIZES:
+        diag = boundary_diagonal(two_n, s)
+        assert diag.dtype == np.float64
+        expected = [
+            float(digits[0] > s) + float(1 <= digits[-1] <= s)
+            for digits in all_digit_strings(two_n, s)
+        ]
+        assert diag.tolist() == expected
 
 
 @pytest.mark.parametrize("s", [63, 64, 100])
 def test_digits_hold_every_letter(s):
     d = 2 * s + 1
     configs = np.arange(d * d)
-    first, second = hamiltonian._digits(configs, 2, d)
-    np.testing.assert_array_equal(first, configs // d)
-    np.testing.assert_array_equal(second, configs % d)
     expected = (configs // d > s).astype(float) + ((configs % d >= 1) & (configs % d <= s))
     np.testing.assert_array_equal(boundary_diagonal(2, s), expected)
+    letters = (configs // d > 0).astype(float) + (configs % d > 0)
+    np.testing.assert_array_equal(field_diagonal(2, s), letters)
+    maps = hamiltonian._symmetry_maps(ChainSpec(two_n=2, s=s))
+    for p, q in zip(maps, digit_table_symmetry_maps(2, s), strict=True):
+        assert np.array_equal(p, q)
 
 
 def test_field_diagonal_counts_letters():
-    for s in (1, 2):
-        diag = field_diagonal(4, s)
-        for i, digits in enumerate(all_digit_strings(4, s)):
-            assert diag[i] == sum(1 for d in digits if d != 0)
+    for two_n, s in DIAGONAL_SIZES:
+        diag = field_diagonal(two_n, s)
+        assert diag.dtype == np.float64
+        expected = [float(sum(map(bool, digits))) for digits in all_digit_strings(two_n, s)]
+        assert diag.tolist() == expected
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(("two_n", "s"), [(12, 1), (8, 2)])
+def test_per_state_tables_peak_within_three_float_vectors(two_n, s):
+    # the digit-table construction peaked at 11.9 to 28.4 MB here, against
+    # a limit of 12.8 MB at 2n=12 s=1 and 9.4 MB at 2n=8 s=2
+    limit = 3 * (2 * s + 1) ** two_n * 8
+    spec = ChainSpec(two_n=two_n, s=s)
+    assert _traced_peak(lambda: hamiltonian._symmetry_maps(spec)) <= limit
+    assert _traced_peak(lambda: field_diagonal(two_n, s)) <= limit
+    assert _traced_peak(lambda: boundary_diagonal(two_n, s)) <= limit
 
 
 # ---------------------------------------------------------------------------

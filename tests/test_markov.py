@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import motzkinchain
 from conftest import exact_surplus_chain
@@ -822,6 +823,37 @@ def test_unbalanced_chain_stays_finite_past_the_float_range_of_the_counts(two_n,
         assert rates.min() >= 1.0 / (6 * s)
         assert rates.max() <= 1.0 / (2 * s)
     assert chain.lambda1 > 0
+
+
+def test_unbalanced_chain_refuses_a_color_count_past_the_float_range():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSpec, match="float range"):
+            build_unbalanced_chain(10, 10**400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**10
+
+
+@pytest.mark.parametrize("two_n", [2, 10, 600])
+def test_unbalanced_chain_stores_its_tridiagonals_sparse(two_n):
+    chain = build_unbalanced_chain(two_n, 1)
+    for operator in (chain.hopping, chain.matrix):
+        assert sp.issparse(operator) and operator.format == "csr"
+        assert operator.shape == (two_n, two_n)
+        assert operator.nnz == 3 * two_n - 2
+
+
+def test_unbalanced_chain_peaks_under_two_megabytes_at_600_sites():
+    # the two dense 600 x 600 matrices alone took 5.8 MB
+    tracemalloc.start()
+    try:
+        build_unbalanced_chain(600, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_unbalanced_chain_refuses_past_its_guard_before_building_anything():
