@@ -12,6 +12,7 @@ are open letters by color, s+1..2s are the matching close letters.
 
 import decimal
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -216,3 +217,13 @@ def digit_table_symmetry_maps(two_n, s):
         swap[[c, c + 1, s + c, s + c + 1]] = [c + 1, c, s + c + 1, s + c]
         maps.append(relabel(digits, swap))
     return maps
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

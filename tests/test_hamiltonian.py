@@ -7,7 +7,6 @@ diagonalization at small sizes and certified iterative solves above.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from conftest import (
     digits_form_walk,
     heights_of_digits,
     scan_digits,
+    traced_peak,
 )
 from motzkinchain import hamiltonian
 from motzkinchain.errors import InvalidSpec, NoConvergence, SizeExceeded
@@ -1005,24 +1005,15 @@ def test_field_diagonal_counts_letters():
         assert diag.tolist() == expected
 
 
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize(("two_n", "s"), [(12, 1), (8, 2)])
 def test_per_state_tables_peak_within_three_float_vectors(two_n, s):
     # the digit-table construction peaked at 11.9 to 28.4 MB here, against
     # a limit of 12.8 MB at 2n=12 s=1 and 9.4 MB at 2n=8 s=2
     limit = 3 * (2 * s + 1) ** two_n * 8
     spec = ChainSpec(two_n=two_n, s=s)
-    assert _traced_peak(lambda: hamiltonian._symmetry_maps(spec)) <= limit
-    assert _traced_peak(lambda: field_diagonal(two_n, s)) <= limit
-    assert _traced_peak(lambda: boundary_diagonal(two_n, s)) <= limit
+    assert traced_peak(lambda: hamiltonian._symmetry_maps(spec)) <= limit
+    assert traced_peak(lambda: field_diagonal(two_n, s)) <= limit
+    assert traced_peak(lambda: boundary_diagonal(two_n, s)) <= limit
 
 
 # ---------------------------------------------------------------------------

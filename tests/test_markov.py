@@ -22,7 +22,7 @@ import pytest
 import scipy.sparse as sp
 
 import motzkinchain
-from conftest import exact_surplus_chain
+from conftest import exact_surplus_chain, traced_peak
 from motzkinchain import markov
 from motzkinchain.errors import InvalidSpec, RouteMismatch, SizeExceeded
 from motzkinchain.hamiltonian import ChainSpec, build_hamiltonian, walk_to_index
@@ -834,6 +834,10 @@ def test_unbalanced_chain_refuses_a_color_count_past_the_float_range():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**10
+    # just inside the float range 2s overflows to inf and the rates to zero
+    chain = build_unbalanced_chain(10, 10**308)
+    assert not chain.alpha_sq.any() and not chain.beta_sq.any()
+    assert np.isfinite(chain.ground).all() and chain.lambda1 == 0.0
 
 
 @pytest.mark.parametrize("two_n", [2, 10, 600])
@@ -847,13 +851,7 @@ def test_unbalanced_chain_stores_its_tridiagonals_sparse(two_n):
 
 def test_unbalanced_chain_peaks_under_two_megabytes_at_600_sites():
     # the two dense 600 x 600 matrices alone took 5.8 MB
-    tracemalloc.start()
-    try:
-        build_unbalanced_chain(600, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert traced_peak(lambda: build_unbalanced_chain(600, 1)) < 2 * 2**20
 
 
 def test_unbalanced_chain_refuses_past_its_guard_before_building_anything():
