@@ -39,14 +39,12 @@ QUADRATURE_RANGE = (1e-3, 3.0)
 QUADRATURE_TOL = 1e-7
 # the trial transfer product's size bound, in height updates (two_n * (n + 1))
 TRIAL_WORK_LIMIT = 10**8
+# zeros per step of the density series; a point leaves once its series stops
+_SERIES_CHUNK = 4
 
 # The twist angle that balances phase decay against energy cost scales as
 # sqrt(3)/(2 sqrt(5/3 - pi/2)) times n^{-3/2}.
 TWIST_CONSTANT = math.sqrt(3.0) / (2.0 * math.sqrt(5.0 / 3.0 - math.pi / 2.0))
-
-
-def _ai(x: float) -> float:
-    return float(airy(x)[0])
 
 
 @lru_cache(maxsize=None)
@@ -56,36 +54,40 @@ def airy_zeros(count: int = DEFAULT_ZERO_COUNT) -> np.ndarray:
     Each zero is bracketed between midpoints of the classical estimates
     ``-(3 pi (4j - 1)/8)^{2/3}`` for neighboring indices and refined by
     bisection until the interval closes to 1e-13, which leaves the
-    residual |Ai| comfortably below 1e-10.  The table is computed once per
-    ``count`` and returned read-only.
+    residual |Ai| comfortably below 1e-10, all brackets in lockstep.  The
+    table is computed once per ``count`` and returned read-only.
     """
     if count < 1:
         raise InvalidSpec("need at least one zero")
-    estimates = [0.0] + [
+    estimates = np.array([0.0] + [
         -((3.0 * math.pi * (4 * j - 1) / 8.0) ** (2.0 / 3.0))
         for j in range(1, count + 2)
-    ]
-    zeros = []
-    for j in range(1, count + 1):
-        hi = 0.5 * (estimates[j - 1] + estimates[j])
-        lo = 0.5 * (estimates[j] + estimates[j + 1])
-        f_lo, f_hi = _ai(lo), _ai(hi)
-        if f_lo * f_hi > 0:
-            raise RuntimeError(f"zero {j} escaped its bracket [{lo}, {hi}]")
-        while hi - lo > 1e-13:
-            mid = 0.5 * (lo + hi)
-            f_mid = _ai(mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if f_lo * f_mid < 0:
-                hi, f_hi = mid, f_mid
-            else:
-                lo, f_lo = mid, f_mid
-        zeros.append(0.5 * (lo + hi))
-    table = np.array(zeros)
+    ])
+    hi = 0.5 * (estimates[:-2] + estimates[1:-1])
+    lo = 0.5 * (estimates[1:-1] + estimates[2:])
+    f_lo = airy(lo)[0]
+    escaped = f_lo * airy(hi)[0] > 0
+    if escaped.any():
+        j = int(escaped.argmax())
+        raise RuntimeError(f"zero {j + 1} escaped its bracket [{lo[j]}, {hi[j]}]")
+    live = np.flatnonzero(hi - lo > 1e-13)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        f_mid = airy(mid)[0]
+        left = f_lo[live] * f_mid < 0  # a zero mid closes its bracket on itself
+        hi[live] = np.where(left | (f_mid == 0.0), mid, hi[live])
+        lo[live], f_lo[live] = np.where(left, lo[live], mid), np.where(left, f_lo[live], f_mid)
+        live = live[hi[live] - lo[live] > 1e-13]
+    table = 0.5 * (lo + hi)
     table.flags.writeable = False
     return table
+
+
+def _series_terms(values: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """The zero series' terms, one row per point and one column per zero."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = 2.0 * np.abs(zeros[None, :]) ** 3 / (27.0 * values[:, None] ** 2)
+        return v ** (2.0 / 3.0) * np.exp(-v) * hyperu(-5.0 / 6.0, 4.0 / 3.0, v)
 
 
 @dataclass
@@ -93,7 +95,8 @@ class ExcursionDensity:
     """Area density of the standard Brownian excursion.
 
     The zero series stops once a term falls below ``SERIES_TOL`` times the
-    running sum; ``last_truncation_error`` records the size of the first
+    running sum, and its terms are evaluated a few zeros at a time only up to
+    that stopping term; ``last_truncation_error`` records the size of the first
     omitted term from the most recent evaluation.  A point whose terms are
     all zero (the far left tail) has density 0; a point whose series never
     meets the tolerance over the available zeros, or whose terms are not
@@ -108,15 +111,26 @@ class ExcursionDensity:
         values = np.atleast_1d(np.asarray(x, dtype=float))
         if (values <= 0).any():
             raise DomainError("the excursion area density lives on x > 0")
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = 2.0 * np.abs(self.zeros[None, :]) ** 3 / (27.0 * values[:, None] ** 2)
-            terms = v ** (2.0 / 3.0) * np.exp(-v) * hyperu(-5.0 / 6.0, 4.0 / 3.0, v)
-        running = np.cumsum(terms, axis=1)
-        count = terms.shape[1]
-        # "<=" so that a zero term stops the series even where the tolerance
-        # times a subnormal running sum underflows to zero
-        small = np.abs(terms) <= SERIES_TOL * np.abs(running)
-        stop = np.where(small.any(axis=1), small.argmax(axis=1), count)
+        count, rows = len(self.zeros), np.arange(len(values))
+        terms = np.zeros((len(values), count))
+        stop, live = np.full(len(values), count), rows
+        for start in range(0, count, _SERIES_CHUNK):
+            end = start + _SERIES_CHUNK
+            terms[live, start:end] = chunk = _series_terms(values[live], self.zeros[start:end])
+            # each step re-adds its rows from the first term, so every partial
+            # sum is the one left-to-right sum over the whole row
+            running = np.cumsum(terms[live, :end], axis=1)[:, start:]
+            # "<=" so that a zero term stops the series even where the tolerance
+            # times a subnormal running sum underflows to zero
+            small = np.abs(chunk) <= SERIES_TOL * np.abs(running)
+            done = small.any(axis=1)
+            stop[live[done]] = start + small[done].argmax(axis=1)
+            if not (live := live[~done]).size:
+                break
+        # a row that stops on a zero term (exp underflowed) is evaluated in full, as
+        # hyperu may be nan further on; other rows stop at v < 746, far below its nans
+        quiet = (stop < count) & (terms[rows, np.minimum(stop, count - 1)] == 0)
+        terms[quiet] = _series_terms(values[quiet], self.zeros)
         failed = (stop == count) | ~np.isfinite(terms).all(axis=1)
         if failed.any():
             bad = int(failed.argmax())
@@ -124,8 +138,7 @@ class ExcursionDensity:
                 f"excursion density series did not converge at x = {values[bad]:.17g}",
                 float(abs(terms[bad, -1])),
             )
-        rows = np.arange(len(values))
-        summed = running[rows, np.maximum(stop, 1) - 1]
+        summed = np.cumsum(terms, axis=1)[rows, np.maximum(stop, 1) - 1]
         self.last_truncation_error = float(np.abs(terms[rows, stop]).max(initial=0.0))
         out = 2.0 * math.sqrt(6.0) / values**2 * summed
         return float(out[0]) if scalar else out
@@ -274,7 +287,7 @@ def rectangle_level_pair(
     grid = np.linspace(0.2, 1.2, 2001)
     mode = float(grid[np.argmax(density(grid))])
     lo, hi = 0.05, mode
-    gap = lambda x1: density(x1 + width) - density(x1)
+    gap = lambda x1: np.diff(density(np.array([x1, x1 + width])))[0]
     g_lo = gap(lo)
     if g_lo <= 0:
         raise RuntimeError("no sign change for the level pair bracket")

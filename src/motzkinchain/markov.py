@@ -715,14 +715,15 @@ def build_unbalanced_chain(two_n: int, s: int) -> UnbalancedChain:
     logs from its neighbor ratios ``sqrt(r_j/r_{2n-j})``, and the ``|1><1|``
     penalty lifts it to the energy ``lambda1``.  Both matrices are sparse
     tridiagonals; ``CHAIN_GUARD`` bounds the Lanczos time, 6.3 to 6.8 s at
-    the guard on one Xeon core (66 MB peak RSS).
+    the guard on one Xeon core (66 MB peak RSS).  Rates exceed ``1/(6s)``; s past
+    1.1e153, where two neighbors' product could leave the normal floats, is refused.
     """
     if two_n < 2 or two_n % 2:
         raise InvalidSpec("two_n must be even and >= 2")
     if s < 1:
         raise InvalidSpec("need s >= 1")
-    if s > sys.float_info.max:
-        raise InvalidSpec("color count s exceeds the float range")
+    if s > 1.0 / (6.0 * math.sqrt(sys.float_info.min)):
+        raise InvalidSpec("color count s exceeds the float range of the rate products")
     if two_n > CHAIN_GUARD:
         raise SizeExceeded(f"two_n={two_n} exceeds the surplus-chain guard {CHAIN_GUARD}")
     ratio = np.ones(two_n)  # ratio[k] = M_k / M_{k-1} for k >= 1

@@ -2,7 +2,9 @@
 
 Everything here works on plain digit tuples with its own stack scans, so
 the expected values it produces do not depend on the library code under
-test.  The one exception, ``exact_entropy_and_mean_height``, reads the
+test.  The excursion oracles keep the full-matrix density series and the
+zero-by-zero Airy bisection, calling scipy's special functions directly.
+The one exception, ``exact_entropy_and_mean_height``, reads the
 library's exact integer rows (``walks.halfwalk_row``, itself checked against
 ``halfwalk_table`` here) and takes their logs in ``decimal``.  The
 digit-table oracles work on whole index arrays, by repeated division.
@@ -16,8 +18,11 @@ import tracemalloc
 from itertools import product
 
 import numpy as np
+from scipy.special import airy, hyperu
 
 from motzkinchain import walks
+from motzkinchain.errors import NoConvergence
+from motzkinchain.excursion import SERIES_TOL
 
 
 def all_digit_strings(length, s):
@@ -227,3 +232,56 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def bisected_airy_zeros(count):
+    """First ``count`` zeros of Ai, one scalar bisection per zero, from the
+    brackets between midpoints of ``-(3 pi (4j - 1)/8)^{2/3}``."""
+    ai = lambda x: float(airy(x)[0])
+    estimates = [0.0] + [
+        -((3.0 * math.pi * (4 * j - 1) / 8.0) ** (2.0 / 3.0))
+        for j in range(1, count + 2)
+    ]
+    zeros = []
+    for j in range(1, count + 1):
+        hi = 0.5 * (estimates[j - 1] + estimates[j])
+        lo = 0.5 * (estimates[j] + estimates[j + 1])
+        f_lo, f_hi = ai(lo), ai(hi)
+        assert f_lo * f_hi <= 0
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            f_mid = ai(mid)
+            if f_mid == 0.0:
+                lo = hi = mid
+                break
+            if f_lo * f_mid < 0:
+                hi, f_hi = mid, f_mid
+            else:
+                lo, f_lo = mid, f_mid
+        zeros.append(0.5 * (lo + hi))
+    return np.array(zeros)
+
+
+def full_series_density(zeros, values):
+    """The excursion density at each x of ``values`` from every term of the
+    zero series: ``(density, first omitted term)``, or ``NoConvergence``
+    where a row never meets ``SERIES_TOL`` or holds a non-finite term."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = 2.0 * np.abs(zeros[None, :]) ** 3 / (27.0 * values[:, None] ** 2)
+        terms = v ** (2.0 / 3.0) * np.exp(-v) * hyperu(-5.0 / 6.0, 4.0 / 3.0, v)
+    running = np.cumsum(terms, axis=1)
+    count = terms.shape[1]
+    small = np.abs(terms) <= SERIES_TOL * np.abs(running)
+    stop = np.where(small.any(axis=1), small.argmax(axis=1), count)
+    failed = (stop == count) | ~np.isfinite(terms).all(axis=1)
+    if failed.any():
+        bad = int(failed.argmax())
+        raise NoConvergence(
+            f"excursion density series did not converge at x = {values[bad]:.17g}",
+            float(abs(terms[bad, -1])),
+        )
+    rows = np.arange(len(values))
+    summed = running[rows, np.maximum(stop, 1) - 1]
+    error = float(np.abs(terms[rows, stop]).max(initial=0.0))
+    return 2.0 * math.sqrt(6.0) / values**2 * summed, error

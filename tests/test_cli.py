@@ -621,6 +621,33 @@ def test_reproduce_entropy_bytes_are_stable(tag, size, digest, tmp_path, capsys)
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_reproduce_density_bytes_are_stable(tmp_path, capsys):
+    # recorded from the full-matrix zero series
+    assert main(["reproduce", "--tag", "fa_density", "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    data = (tmp_path / "fa_density.csv").read_bytes()
+    assert len(data) == 11082
+    assert hashlib.sha256(data).hexdigest() == (
+        "b9be8f7ccfd6a596c8aadd10a015e2c1ce1796d56b00d6410f2cb5c9bcde4d1d"
+    )
+
+
+@pytest.mark.parametrize(
+    ("grid", "size", "digest"),
+    [
+        (None, 11082, "b9be8f7ccfd6a596c8aadd10a015e2c1ce1796d56b00d6410f2cb5c9bcde4d1d"),
+        ("0.001:3:2001", 78737, "5bb02ac62f18237e4dfaf003784a0c664b1ea8c92bee5afb41baeeb3c9adac0f"),
+    ],
+)
+def test_excursion_density_bytes_are_stable(grid, size, digest, capsys):
+    # recorded from the full-matrix zero series
+    argv = ["excursion", "--density"] + (["--grid", grid] if grid else [])
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_reproduce_rejects_unknown_tag(capsys):
     with pytest.raises(SystemExit):
         main(["reproduce", "--tag", "nonsense"])

@@ -12,10 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import ai_zeros
+from scipy.special import ai_zeros, hyperu
 
 from conftest import (
+    bisected_airy_zeros,
     digits_form_walk,
+    full_series_density,
     halfwalk_table,
     heights_of_digits,
     iter_matched_digit_strings,
@@ -30,6 +32,8 @@ from motzkinchain.errors import (
 )
 from motzkinchain.excursion import (
     TWIST_CONSTANT,
+    ExcursionDensity,
+    RectanglePair,
     _check_trial_size,
     airy_zeros,
     area_std,
@@ -122,6 +126,85 @@ def test_density_mean_matches_closed_form():
     mean, err = integrate_density(d, weight=lambda x: x)
     assert err < 1e-7
     assert mean == pytest.approx(0.5 * math.sqrt(math.pi / 2.0), abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The series and the bisection against their full-length oracles, bit for bit
+# ---------------------------------------------------------------------------
+
+# the zero tail, the mode, the right tail past where the series fails, and the
+# far left: below x = 5e-92 hyperu turns nan in a row's later columns while its
+# first term is already 0, and below 1e-154 v overflows
+DENSITY_GRIDS = (
+    np.linspace(0.01, 3.0, 300),
+    np.linspace(0.001, 0.08, 200),
+    np.linspace(0.2, 1.2, 501),
+    np.linspace(2.5, 8.0, 200),
+    np.array([50.5, 100.0, 1e200]),
+    np.geomspace(1e-95, 1e-88, 200),
+    np.geomspace(1e-160, 1e-150, 200),
+    np.geomspace(1e-320, 300.0, 600),
+)
+
+
+def _outcome(call, x):
+    """The density's bytes and truncation error, or the failure's message
+    and best residual."""
+    try:
+        values, error = call(x)
+    except NoConvergence as failure:
+        return str(failure), repr(failure.best_residual)
+    return values.tobytes(), error
+
+
+@pytest.mark.parametrize("count", [1, 10, 40, 200])
+def test_airy_zeros_have_the_bits_of_the_scalar_bisection(count):
+    assert airy_zeros(count).tobytes() == bisected_airy_zeros(count).tobytes()
+
+
+@pytest.mark.parametrize(
+    ("count", "chunks"), [(10, (1, 3, 10)), (40, (1, 7, 40)), (200, ())], ids=["10", "40", "200"]
+)
+def test_density_has_the_bits_of_the_full_series(count, chunks, monkeypatch):
+    zeros = airy_zeros(count)
+    density = ExcursionDensity(zeros=zeros)
+
+    def kernel(x):
+        values = density(x)
+        return values, density.last_truncation_error
+
+    points = list(DENSITY_GRIDS)
+    points += [grid[i:i + 1] for grid in DENSITY_GRIDS for i in range(0, len(grid), 11)]
+    expected = [_outcome(lambda x: full_series_density(zeros, x), x) for x in points]
+    for chunk in (excursion._SERIES_CHUNK, *chunks):
+        monkeypatch.setattr(excursion, "_SERIES_CHUNK", chunk)
+        assert [_outcome(kernel, x) for x in points] == expected
+
+
+def test_density_fails_where_a_later_term_is_not_finite():
+    # at x = 3e-92 the first term is 0, which stops the series, while hyperu
+    # returns nan from the 20th zero on; the full series fails there
+    density = excursion_density()
+    with pytest.raises(NoConvergence) as failure:
+        density(3e-92)
+    assert math.isnan(failure.value.best_residual)
+    assert density(1e-91) == 0.0
+
+
+def test_hyperu_is_finite_wherever_a_stopped_series_skips_it():
+    # a series that stops on a nonzero term stops at v < 746, where exp(-v)
+    # is still positive; its skipped terms read hyperu at up to
+    # 746 (z_count/z_1)^3, which is 5.2e7 for 200 zeros
+    zeros = airy_zeros(200)
+    v = np.geomspace(1e-3, 746.0 * (zeros[-1] / zeros[0]) ** 3, 200_001)
+    assert np.isfinite(hyperu(-5.0 / 6.0, 4.0 / 3.0, v)).all()
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0 / area_std(), 7.5])
+def test_transform_has_the_bits_of_the_full_series(theta):
+    zeros = airy_zeros(40)
+    full = lambda x: full_series_density(zeros, x)[0]
+    assert characteristic_FA(theta) == characteristic_FA(theta, full)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +318,26 @@ def test_rectangle_pair_straddles_the_mode():
     assert pair.bound == pytest.approx(0.6353174226898592, rel=1e-8)
     assert pair.satisfied()
     assert pair.transform_modulus <= pair.bound
+
+
+def test_rectangle_pair_takes_one_two_point_density_call_per_step():
+    density = excursion_density()
+    sizes = []
+
+    def recorded(x):
+        sizes.append(np.size(x))
+        return density(x)
+
+    pair = rectangle_level_pair(recorded)
+    # recorded where each bisection step made two one-point calls
+    assert pair == RectanglePair(
+        *map(float.fromhex, [
+            "0x1.f83036d57c3a8p-2", "0x1.4b5bfa0cf41bfp-1", "0x1.2d84899b6f48ep+1",
+            "0x1.d07268d57ebdep-10", "0x1.45485342105c4p-1",
+        ])
+    )
+    steps = sizes[1:sizes.index(1)]
+    assert sizes[0] == 2001 and len(steps) > 40 and set(steps) == {2}
 
 
 # ---------------------------------------------------------------------------

@@ -826,18 +826,26 @@ def test_unbalanced_chain_stays_finite_past_the_float_range_of_the_counts(two_n,
 
 
 def test_unbalanced_chain_refuses_a_color_count_past_the_float_range():
+    # at 10**308 2s overflowed to inf and every rate to zero; from 2e153 on
+    # two neighboring rates multiply below the normal floats
     tracemalloc.start()
     try:
-        with pytest.raises(InvalidSpec, match="float range"):
-            build_unbalanced_chain(10, 10**400)
+        for s in (10**400, 10**308, 2 * 10**153):
+            with pytest.raises(InvalidSpec, match="float range"):
+                build_unbalanced_chain(10, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**10
-    # just inside the float range 2s overflows to inf and the rates to zero
-    chain = build_unbalanced_chain(10, 10**308)
-    assert not chain.alpha_sq.any() and not chain.beta_sq.any()
-    assert np.isfinite(chain.ground).all() and chain.lambda1 == 0.0
+
+
+def test_unbalanced_chain_keeps_its_rate_products_normal_up_to_the_bound():
+    # s * lambda1 settles as s grows; where the products went subnormal it
+    # drifted, to 0.00392 at s = 1e160 and 0.193 at 1e200 (0.004053 here)
+    chain = build_unbalanced_chain(10, 10**153)
+    assert (chain.alpha_sq * chain.beta_sq).min() >= sys.float_info.min
+    settled = build_unbalanced_chain(10, 10**100).lambda1 * 1e100
+    assert chain.lambda1 * 1e153 == pytest.approx(settled, rel=1e-12)
 
 
 @pytest.mark.parametrize("two_n", [2, 10, 600])
