@@ -85,7 +85,7 @@ def airy_zeros(count: int = DEFAULT_ZERO_COUNT) -> np.ndarray:
 
 def _series_terms(values: np.ndarray, zeros: np.ndarray) -> np.ndarray:
     """The zero series' terms, one row per point and one column per zero."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v = 2.0 * np.abs(zeros[None, :]) ** 3 / (27.0 * values[:, None] ** 2)
         return v ** (2.0 / 3.0) * np.exp(-v) * hyperu(-5.0 / 6.0, 4.0 / 3.0, v)
 

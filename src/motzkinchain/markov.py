@@ -9,10 +9,10 @@ operator into a reversible stochastic matrix whose spectral gap equals
 the projected gap up to a known factor.  The matrix is stored sparse on
 the operator's pattern, and its second eigenvalue is read off the
 operator's certified spectrum (:func:`motzkinchain.hamiltonian.lowest_spectrum`,
-the one eigensolver of the package).  This module builds those objects,
+the package's general eigensolver).  This module builds those objects,
 certifies the gap from below with canonical paths routed through a
 peak-removal tree, and assembles the one-dimensional hopping chain that
-governs the walk of an unmatched letter.
+governs the walk of an unmatched letter, solved through its Green's function.
 
 The peak-removal relation is computed once per ``(n, s)``, as
 ``DyckBasis.removals`` of the memoized :func:`dyck_basis`; the operator's
@@ -41,6 +41,7 @@ from .errors import (
     InvalidSpec,
     MatchingInfeasible,
     NegativeEntry,
+    NoConvergence,
     RouteMismatch,
     SizeExceeded,
 )
@@ -50,8 +51,8 @@ from .walks import binomial, catalan_number, encode_walk, enumerate_walks, motzk
 BASIS_GUARD = 2 * 10**5
 # bounds B**2 for the canonical tree, whose min-cost-flow rounding is the cost past it
 PAIR_GUARD = 10**8
-# bounds two_n for the surplus-letter chain, whose Lanczos solve takes about 6.5 s there
-CHAIN_GUARD = 4000
+# bounds two_n for the surplus-letter chain by memory, a few O(n) rows and two tridiagonals
+CHAIN_GUARD = 10**6
 
 STOCHASTIC_TOL = 1e-12
 
@@ -701,22 +702,21 @@ class UnbalancedChain:
     alpha_sq: np.ndarray
     beta_sq: np.ndarray
     lambda1: float
-    pi_first: float
 
 
 def build_unbalanced_chain(two_n: int, s: int) -> UnbalancedChain:
     """Assemble the surplus-letter chain from one row of Motzkin-number ratios.
 
-    Site ``j`` hops to ``j+1`` with squared amplitude ``1/(2s r_{2n-j})`` and
-    back with ``1/(2s r_j)``; ``r_k = M_k/M_{k-1}`` runs forward from
-    ``r_1 = 1`` through ``(k+2) M_k = (2k+1) M_{k-1} + 3(k-1) M_{k-2}``,
-    stably, as that is the dominant solution.  The rank-one combination of
-    each neighboring pair annihilates ``sqrt(M_{j-1} M_{2n-j})``, built in
-    logs from its neighbor ratios ``sqrt(r_j/r_{2n-j})``, and the ``|1><1|``
-    penalty lifts it to the energy ``lambda1``.  Both matrices are sparse
-    tridiagonals; ``CHAIN_GUARD`` bounds the Lanczos time, 6.3 to 6.8 s at
-    the guard on one Xeon core (66 MB peak RSS).  Rates exceed ``1/(6s)``; s past
-    1.1e153, where two neighbors' product could leave the normal floats, is refused.
+    Site ``j`` hops to ``j+1`` with squared amplitude ``1/(2s r_{2n-j})`` and back with
+    ``1/(2s r_j)``; ``r_k = M_k/M_{k-1}`` runs forward, stably, from ``r_1 = 1`` through
+    ``(k+2) M_k = (2k+1) M_{k-1} + 3(k-1) M_{k-2}``.  The pairs' rank-one terms annihilate
+    ``psi_j = sqrt(M_{j-1} M_{2n-j})``, built in logs from ``sqrt(r_j/r_{2n-j})``; the
+    ``|1><1|`` penalty lifts it to ``lambda1``.  With ``c_k = alpha_k psi_k**2`` and ``R(m) =
+    1/psi_0**2 + sum_{k<m} 1/c_k``, ``matrix``'s inverse is ``psi_i psi_j R(min(i, j))``: each
+    entry a positive sum good to about ``(2n+4) u`` relative, applied by two cumulative sums.
+    Power iteration from ``psi`` closes its Collatz-Wielandt bracket on ``1/lambda1`` to 16
+    epsilons relative; ``lambda1`` is its midpoint.  Rates exceed ``1/(6s)``; s past 1.1e153,
+    where two neighbors' product could leave the normal floats, is refused.
     """
     if two_n < 2 or two_n % 2:
         raise InvalidSpec("two_n must be even and >= 2")
@@ -738,8 +738,18 @@ def build_unbalanced_chain(two_n: int, s: int) -> UnbalancedChain:
     diag = np.append(alpha_sq, 0.0) + np.append(0.0, beta_sq)
     hopping = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
     matrix = hopping + sp.csr_matrix(([1.0], ([0], [0])), shape=hopping.shape)
+    steps = 1.0 / np.append(ground[0] ** 2, alpha_sq * ground[:-1] ** 2)  # R(m) - R(m-1)
+    x = ground
+    for _ in range(100):
+        image = ground * np.cumsum(steps * np.cumsum((ground * x)[::-1])[::-1])
+        quotient = image / x
+        lo, hi = quotient.min(), quotient.max()
+        if hi - lo <= 16 * sys.float_info.epsilon * hi:
+            break
+        x = image / hi
+    else:
+        raise NoConvergence(f"1/lambda1 bracket [{lo:.17g}, {hi:.17g}] still open", hi - lo)
     return UnbalancedChain(
         two_n=two_n, s=s, matrix=matrix, hopping=hopping, ground=ground, alpha_sq=alpha_sq,
-        beta_sq=beta_sq, lambda1=lowest_spectrum(matrix, k=1).lambda1,
-        pi_first=float(ground[0] ** 2),
+        beta_sq=beta_sq, lambda1=float(0.5 / lo + 0.5 / hi),
     )

@@ -25,7 +25,7 @@ import motzkinchain
 from conftest import exact_surplus_chain, traced_peak
 from motzkinchain import markov
 from motzkinchain.errors import InvalidSpec, RouteMismatch, SizeExceeded
-from motzkinchain.hamiltonian import ChainSpec, build_hamiltonian, walk_to_index
+from motzkinchain.hamiltonian import ChainSpec, build_hamiltonian, lowest_spectrum, walk_to_index
 from motzkinchain.markov import (
     block_split_weights,
     build_canonical_tree,
@@ -735,22 +735,27 @@ def test_level_weight_ratio_is_the_weight_over_share_identity(s):
         assert ratio == pytest.approx(level_weight_ratio(w), rel=1e-13)
 
 
-def test_importing_markov_and_solving_the_walk_leaves_networkx_unloaded():
-    # only the level matchings need networkx; the transition and its gap do not
+def run_fresh(script):
+    """Standard output of ``script`` run in a fresh interpreter on this package."""
     package_root = str(Path(motzkinchain.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_importing_markov_and_solving_the_walk_leaves_networkx_unloaded():
+    # only the level matchings need networkx; the transition and its gap do not
     script = (
         "import sys\n"
         "from motzkinchain.markov import build_transition\n"
         "build_transition(8, 1).second_eigenvalue()\n"
         "print('networkx' in sys.modules)\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert run_fresh(script) == "False\n"
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +771,6 @@ def test_unbalanced_chain_ground_state_and_rates():
     assert chain.alpha_sq.max() <= 0.5
     assert chain.beta_sq.min() >= 1.0 / 6.0
     assert chain.beta_sq.max() <= 0.5
-    assert chain.pi_first == pytest.approx(chain.ground[0] ** 2, rel=1e-14)
     assert (chain.matrix - chain.hopping)[0, 0] == pytest.approx(1.0)
 
 
@@ -793,6 +797,49 @@ def test_unbalanced_chain_energy_decays_polynomially():
     assert -5.0 < slope < 0.0
 
 
+def exact_levels_below(two_n, s, sigma):
+    """Eigenvalues below ``sigma`` of the surplus chain built from exact rational
+    rates: the negative LDL^T pivots of ``matrix - sigma``, in which each
+    off-diagonal enters only squared, as ``alpha_k beta_k``."""
+    counts = [motzkin_number(k, 1) for k in range(two_n)]
+    beta = [Fraction(counts[k], 2 * s * counts[k + 1]) for k in range(two_n - 1)]
+    alpha = beta[::-1]
+    negative = 0
+    for i in range(two_n):
+        pivot = (alpha[i] if i < two_n - 1 else 0) + (beta[i - 1] if i else 1) - sigma
+        if i:
+            pivot -= alpha[i - 1] * beta[i - 1] / previous
+        negative += pivot < 0
+        previous = pivot
+    return negative
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("two_n", [2, 4, 10, 40])
+def test_unbalanced_chain_lambda1_is_the_exact_chains_lowest_level(two_n, s):
+    lambda1 = build_unbalanced_chain(two_n, s).lambda1
+    assert exact_levels_below(two_n, s, Fraction(lambda1 * (1 - 1e-13))) == 0
+    assert exact_levels_below(two_n, s, Fraction(lambda1 * (1 + 1e-13))) >= 1
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("two_n", [10, 120, 600])
+def test_unbalanced_chain_lambda1_agrees_with_lanczos_within_its_certificate(two_n, s):
+    chain = build_unbalanced_chain(two_n, s)
+    result = lowest_spectrum(chain.matrix, k=1)
+    assert abs(result.lambda1 - chain.lambda1) <= 1e-9 * max(result.norm_bound, 1.0)
+
+
+def test_unbalanced_chain_lambda1_has_the_same_bits_under_two_allocation_histories():
+    # a fixed sequence of positive sums, unlike an ARPACK vector's last bits
+    solve = (
+        "from motzkinchain.markov import build_unbalanced_chain\n"
+        "print(build_unbalanced_chain(600, 2).lambda1.hex())\n"
+    )
+    allocate = "import numpy as np\nheld = [np.ones(k) for k in range(1, 4000, 37)]\n"
+    assert run_fresh(solve) == run_fresh(allocate + solve)
+
+
 def test_unbalanced_chain_validation():
     with pytest.raises(InvalidSpec):
         build_unbalanced_chain(7, 1)
@@ -817,7 +864,6 @@ def test_unbalanced_chain_stays_finite_past_the_float_range_of_the_counts(two_n,
     chain = build_unbalanced_chain(two_n, s)
     assert np.isfinite(chain.ground).all()
     assert np.linalg.norm(chain.ground) == pytest.approx(1.0, rel=1e-14)
-    assert chain.pi_first == chain.ground[0] ** 2
     assert np.abs(chain.hopping @ chain.ground).max() <= 1e-12
     for rates in (chain.alpha_sq, chain.beta_sq):
         assert rates.min() >= 1.0 / (6 * s)
@@ -863,8 +909,8 @@ def test_unbalanced_chain_peaks_under_two_megabytes_at_600_sites():
 
 
 def test_unbalanced_chain_refuses_past_its_guard_before_building_anything():
-    # one rate row at the guard would take 32 kB, one dense matrix 128 MB
-    for two_n in (markov.CHAIN_GUARD + 2, 10**7):
+    # one rate row at 10**9 sites would take 8 GB
+    for two_n in (markov.CHAIN_GUARD + 2, 10**9):
         tracemalloc.start()
         try:
             with pytest.raises(SizeExceeded):
